@@ -906,10 +906,11 @@ let real_stm () =
 
 let p3_scaling () =
   section "P3"
-    "footnote 1: disjoint-access scaling, TL2 runtime vs global-lock \
-     runtime (ops/ms)";
+    "footnote 1: disjoint-access scaling, TL2 core vs global-lock core \
+     (ops/ms)";
   let iters = 200_000 in
-  let measure_tl2 domains =
+  let measure algo domains =
+    Tm_stm.Stm.with_algo algo @@ fun () ->
     let tvars = Array.init domains (fun _ -> Tm_stm.Stm.tvar 0) in
     let t0 = Unix.gettimeofday () in
     List.init domains (fun d ->
@@ -922,26 +923,13 @@ let p3_scaling () =
     let dt = Unix.gettimeofday () -. t0 in
     float_of_int (domains * iters) /. (dt *. 1000.)
   in
-  let measure_lock domains =
-    let tvars = Array.init domains (fun _ -> Tm_stm.Stm_lock.tvar 0) in
-    let t0 = Unix.gettimeofday () in
-    List.init domains (fun d ->
-        Domain.spawn (fun () ->
-            for _ = 1 to iters do
-              Tm_stm.Stm_lock.atomically (fun () ->
-                  Tm_stm.Stm_lock.write tvars.(d)
-                    (Tm_stm.Stm_lock.read tvars.(d) + 1))
-            done))
-    |> List.iter Domain.join;
-    let dt = Unix.gettimeofday () -. t0 in
-    float_of_int (domains * iters) /. (dt *. 1000.)
-  in
-  Fmt.pr "    %-10s %12s %12s@." "domains" "tl2-stm" "lock-stm";
+  Fmt.pr "    %-10s %12s %12s@." "domains" "tl2" "global-lock";
   let tl2_1 = ref 0. and tl2_4 = ref 0. in
   let lock_1 = ref 0. and lock_4 = ref 0. in
   List.iter
     (fun d ->
-      let a = measure_tl2 d and b = measure_lock d in
+      let a = measure Tm_stm.Stm.Algo.Tl2 d
+      and b = measure Tm_stm.Stm.Algo.Global_lock d in
       if d = 1 then begin
         tl2_1 := a;
         lock_1 := b
@@ -953,7 +941,7 @@ let p3_scaling () =
       Fmt.pr "    %-10d %12.0f %12.0f@." d a b)
     [ 1; 2; 4 ];
   let tl2_speedup = !tl2_4 /. !tl2_1 and lock_speedup = !lock_4 /. !lock_1 in
-  Fmt.pr "    4-domain speedup: tl2-stm %.2fx, lock-stm %.2fx@." tl2_speedup
+  Fmt.pr "    4-domain speedup: tl2 %.2fx, global-lock %.2fx@." tl2_speedup
     lock_speedup;
   let cores = Domain.recommended_domain_count () in
   if cores >= 4 then

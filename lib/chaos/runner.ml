@@ -23,6 +23,8 @@ type session = {
   ses_commits : Tel.Instrument.counter array;
   ses_injected : Tel.Instrument.counter array;
   ses_crashed : Tel.Instrument.gauge array;
+  ses_parasite_on : bool Atomic.t array;
+      (* set by a parasitic worker when its takeover begins *)
   ses_latency : Tel.Latency_recorder.t option;
 }
 
@@ -153,8 +155,8 @@ exception Stop_worker
    — it already holds the serializer, stranding every peer
    deterministically (prior reads in the set are harmless: the
    serializer validates nothing). *)
-let worker ~stop ~shared ~mine ~algo ~fault ~parasite_gate ~ops ~injected
-    ~attempts ~trycs ~commits ~crashed ~lat d () =
+let worker ~stop ~shared ~mine ~algo ~fault ~parasite_gate ~parasite_on ~ops
+    ~injected ~attempts ~trycs ~commits ~crashed ~lat d () =
   bind_fault fault ~ops ~injected;
   (* Open-loop latency: mark before the transaction, complete after.  A
      body that dies on [Stm.Chaos.Crashed] leaves its mark in place on
@@ -186,6 +188,7 @@ let worker ~stop ~shared ~mine ~algo ~fault ~parasite_gate ~ops ~injected
     | None -> false
   in
   let parasite_spin () =
+    Atomic.set parasite_on true;
     while true do
       ignore (Stm.read mine);
       if Atomic.get stop then raise Stop_worker;
@@ -285,6 +288,7 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
            ~interval_ns:50_000 ~domains:nd ())
     else None
   in
+  let parasite_on = Array.init nd (fun _ -> Atomic.make false) in
   let ses =
     {
       ses_plan = plan;
@@ -297,6 +301,7 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
       ses_commits = commits;
       ses_injected = injected;
       ses_crashed = crashed;
+      ses_parasite_on = parasite_on;
       ses_latency = lat;
     }
   in
@@ -345,7 +350,8 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
         List.init nd (fun d ->
             Domain.spawn
               (worker ~stop ~shared ~mine:priv.(d) ~algo:plan.Plan.algo
-                 ~fault:plan.Plan.faults.(d) ~parasite_gate ~ops:ops.(d)
+                 ~fault:plan.Plan.faults.(d) ~parasite_gate
+                 ~parasite_on:parasite_on.(d) ~ops:ops.(d)
                  ~injected:injected.(d) ~attempts:attempts.(d)
                  ~trycs:trycs.(d) ~commits:commits.(d) ~crashed:crashed.(d)
                  ~lat d))
@@ -361,6 +367,51 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
       | exception e ->
           finish ();
           raise e)
+
+(* The window observes the steady faulty state, and both of its edges
+   can wait on the run itself, for at most [wait_budget] seconds each.
+
+   Fault onsets sit a few hundred operations in — microseconds on an
+   idle machine — but a loaded one can keep a domain off-core for the
+   whole warmup, and a window that opens before a crash or a parasitic
+   takeover misreads every domain.  So the first sample waits until
+   every planned crash has happened and every planned parasite has
+   taken over.  Stalls and abort storms run on the op clock from the
+   start and need no wait.
+
+   Blame runs classify starving domains from the events they witnessed
+   in the window, and a victim below [Blame_graph.min_events] reads as
+   quiet.  A victim spinning out a long wait budget per event on a
+   loaded machine can fall short in a fixed window, so the last sample
+   waits until every domain starving so far has witnessed that many. *)
+let wait_budget = 1.0
+
+let wait_while busy =
+  let deadline = Unix.gettimeofday () +. wait_budget in
+  while busy () && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done
+
+let domains_of ses = List.init ses.ses_plan.Plan.domains Fun.id
+
+let fault_landed ses d =
+  match ses.ses_plan.Plan.faults.(d) with
+  | Plan.Crash _ -> session_crashed ses d
+  | Plan.Parasitic _ -> Atomic.get ses.ses_parasite_on.(d)
+  | Plan.Healthy | Plan.Stall _ | Plan.Abort_storm _ -> true
+
+let onsets_pending ses () =
+  not (List.for_all (fault_landed ses) (domains_of ses))
+
+let witnesses_short ses first g () =
+  List.exists
+    (fun d ->
+      Pc.equal_cls
+        (Emp.classify_counters ~first:(counters_of first.(d))
+           ~last:(counters_of (sample ses d)))
+        Pc.Starving
+      && Tel.Blame_graph.victim_total g d < Tel.Blame_graph.min_events)
+    (domains_of ses)
 
 let run ?tvars ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
     ?on_sample (plan : Plan.t) =
@@ -380,6 +431,8 @@ let run ?tvars ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
   let first, last, ses =
     with_session ?tvars ?blame ?latency ?registry plan (fun ses ->
         Unix.sleepf warmup;
+        wait_while (onsets_pending ses);
+        Option.iter Tel.Blame_graph.mark_window ses.ses_blame;
         let first = samples ses in
         (* Baseline the liveness gauge on the exact watchdog samples so
            the exported classes equal the verdicts below. *)
@@ -387,6 +440,9 @@ let run ?tvars ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
           (Array.map counters_of first);
         scrape ses 0;
         Unix.sleepf window;
+        Option.iter
+          (fun g -> wait_while (witnesses_short ses first g))
+          ses.ses_blame;
         let last = samples ses in
         ignore
           (Tel.Liveness_gauge.update_with ses.ses_liveness

@@ -162,8 +162,15 @@ val run :
     seconds before the first sample (default 0.05 — fault onsets are a
     few hundred operations in, i.e. microseconds, so the window observes
     the steady faulty state), [window] the observation time between
-    samples (default 0.15).  The [Stm.Chaos] handler is uninstalled
-    before returning, even on exceptions.
+    samples (default 0.15).  On a loaded machine the onsets can take
+    longer, so the first sample also waits, for at most one more
+    second, until every planned crash has happened and every planned
+    parasite has taken over.  With [blame] the graph counts only the
+    window's events ({!Tm_telemetry.Blame_graph.mark_window}), and the
+    window stays open, for at most one more second, until every domain
+    starving so far has witnessed {!Tm_telemetry.Blame_graph.min_events}
+    events.  The [Stm.Chaos] handler is uninstalled before returning,
+    even on exceptions.
 
     [registry] and [on_sample] expose the run's telemetry: the watchdog
     scrapes the session registry right after each of its two samples

@@ -5,7 +5,7 @@
    [Stm_glock], [Stm_dstm] and [Stm_norec].  This module owns what the
    cores share behaviourally: the per-domain current-transaction slot,
    the retry loop with randomized exponential backoff, trace attempt
-   spans, Tel Begin/Commit/Abort accounting and the global
+   spans, Tel Begin/Commit/Abort accounting and the per-domain
    commit/abort counters — so every algorithm gets identical
    observability for free. *)
 
@@ -139,120 +139,134 @@ let with_algo a f =
   set_algo a;
   Fun.protect ~finally:(fun () -> set_algo prev) f
 
-let commit_count = Atomic.make 0
-let abort_count = Atomic.make 0
+(* Per-domain facade state: the current-transaction slot and the
+   domain's commit/abort counters.  Only the owning domain writes a
+   record, so counting costs no shared cache line; [stats] sums the
+   records of every domain that ever ran a transaction. *)
+type dom = {
+  mutable cur : Stm_core.packed;
+  mutable commits : int;
+  mutable aborts : int;
+}
 
-let current : Stm_core.packed option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let doms : dom list Atomic.t = Atomic.make []
 
-let in_transaction () = Option.is_some !(Domain.DLS.get current)
+let rec register d =
+  let l = Atomic.get doms in
+  if not (Atomic.compare_and_set doms l (d :: l)) then register d
+
+let dom_key : dom Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let d = { cur = Stm_core.Idle; commits = 0; aborts = 0 } in
+      register d;
+      d)
+
+let in_transaction () = (Domain.DLS.get dom_key).cur != Stm_core.Idle
 
 let read (type a) (tv : a tvar) : a =
-  match !(Domain.DLS.get current) with
-  | Some (Stm_core.P ((module C), t)) -> C.read t tv
-  | None ->
+  match (Domain.DLS.get dom_key).cur with
+  | Stm_core.P ((module C), t) -> C.read t tv
+  | Stm_core.Idle ->
       let (module C) = Atomic.get selected in
       C.direct_read tv
 
 let write (type a) (tv : a tvar) (x : a) : unit =
-  match !(Domain.DLS.get current) with
-  | Some (Stm_core.P ((module C), t)) -> C.write t tv x
-  | None -> invalid_arg "Stm.write outside a transaction"
+  match (Domain.DLS.get dom_key).cur with
+  | Stm_core.P ((module C), t) -> C.write t tv x
+  | Stm_core.Idle -> invalid_arg "Stm.write outside a transaction"
 
 let retry () = raise Retry
 
-let backoff attempts prng_state =
+(* Randomized exponential backoff.  [seed] is the domain's LCG state;
+   the next state is returned so the retry loop can thread it as an
+   int. *)
+let backoff attempts seed =
   let bound = 1 lsl min attempts 10 in
-  let spins = 1 + (!prng_state * 1103515245 + 12345) land 0x3FFFFFFF in
-  prng_state := spins;
+  let spins = 1 + ((seed * 1103515245) + 12345) land 0x3FFFFFFF in
   let n_spins = spins mod bound in
   if Atomic.get Trace.tracing then
     Trace.emit Tev.Backoff "wait" Tev.Instant
       [ ("attempt", Tev.Int attempts); ("spins", Tev.Int n_spins) ];
   for _ = 1 to n_spins do
     Domain.cpu_relax ()
-  done
+  done;
+  spins
 
-let atomically (type a) (f : unit -> a) : a =
-  let slot = Domain.DLS.get current in
-  match !slot with
-  | Some _ -> f () (* flat nesting: join the enclosing transaction *)
-  | None ->
-      let (module C) = Atomic.get selected in
-      let prng_state = ref (Domain.self () :> int) in
-      let end_attempt outcome =
-        if Atomic.get Trace.tracing then
-          Trace.emit Tev.Txn "attempt" Tev.Span_end
-            [ ("outcome", Tev.Str outcome) ]
-      in
-      let rec attempt n =
-        if Atomic.get Trace.tracing then
-          Trace.emit Tev.Txn "attempt" Tev.Span_begin
-            [ ("attempt", Tev.Int n) ];
-        let tel = Atomic.get Tel.armed in
-        let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
-        if tel then tp.Tel.count Tel.Begin;
-        let t0 = if tel then tp.Tel.now () else 0 in
-        let aborted () =
-          if tel then tp.Tel.observe Tel.Abort (tp.Tel.now () - t0)
-        in
-        let txn = C.begin_ () in
-        slot := Some (Stm_core.P ((module C), txn));
-        match f () with
-        | result -> (
-            try
-              C.commit txn;
-              slot := None;
-              Atomic.incr commit_count;
-              Blame.progress ();
-              if tel then tp.Tel.observe Tel.Commit (tp.Tel.now () - t0);
-              end_attempt "commit";
-              result
-            with
-            | Stm_core.Conflict ->
-                slot := None;
-                C.abort_cleanup txn;
-                Atomic.incr abort_count;
-                aborted ();
-                end_attempt "conflict";
-                backoff n prng_state;
-                attempt (n + 1)
-            | Chaos.Crashed as e ->
-                (* A crashed commit keeps everything it holds: no
-                   cleanup, and the attempt span stays open — the
-                   domain is gone. *)
-                slot := None;
-                raise e)
-        | exception Stm_core.Conflict ->
-            slot := None;
-            C.abort_cleanup txn;
-            Atomic.incr abort_count;
-            aborted ();
-            end_attempt "conflict";
-            backoff n prng_state;
-            attempt (n + 1)
-        | exception Retry ->
-            slot := None;
-            C.abort_cleanup txn;
-            Atomic.incr abort_count;
-            aborted ();
-            end_attempt "retry";
-            backoff (n + 2) prng_state;
-            attempt (n + 1)
-        | exception (Chaos.Crashed as e) ->
-            (* Crashed in the body: same no-cleanup contract. *)
-            slot := None;
-            end_attempt "exception";
-            raise e
-        | exception e ->
-            slot := None;
-            C.abort_cleanup txn;
-            end_attempt "exception";
-            raise e
-      in
-      attempt 0
+let end_attempt outcome =
+  if Atomic.get Trace.tracing then
+    Trace.emit Tev.Txn "attempt" Tev.Span_end [ ("outcome", Tev.Str outcome) ]
 
-let stats () = (Atomic.get commit_count, Atomic.get abort_count)
+(* The retry loop: attempt [n] of [f] under core [C].  A top-level
+   function so an attempt allocates nothing of its own; [seed] is the
+   backoff state. *)
+let rec attempt :
+    type a. (module Stm_core.S) -> dom -> (unit -> a) -> int -> int -> a =
+ fun (module C) d f n seed ->
+  if Atomic.get Trace.tracing then
+    Trace.emit Tev.Txn "attempt" Tev.Span_begin [ ("attempt", Tev.Int n) ];
+  let tel = Atomic.get Tel.armed in
+  let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
+  if tel then tp.Tel.count Tel.Begin;
+  let t0 = if tel then tp.Tel.now () else 0 in
+  let txn = C.begin_ () in
+  d.cur <- Stm_core.P ((module C), txn);
+  match f () with
+  | result -> (
+      match C.commit txn with
+      | () ->
+          d.cur <- Stm_core.Idle;
+          d.commits <- d.commits + 1;
+          Blame.progress ();
+          if tel then tp.Tel.observe Tel.Commit (tp.Tel.now () - t0);
+          end_attempt "commit";
+          result
+      | exception Stm_core.Conflict ->
+          d.cur <- Stm_core.Idle;
+          C.abort_cleanup txn;
+          d.aborts <- d.aborts + 1;
+          if tel then tp.Tel.observe Tel.Abort (tp.Tel.now () - t0);
+          end_attempt "conflict";
+          attempt (module C) d f (n + 1) (backoff n seed)
+      | exception (Chaos.Crashed as e) ->
+          (* A crashed commit keeps everything it holds: no cleanup, and
+             the attempt span stays open — the domain is gone. *)
+          d.cur <- Stm_core.Idle;
+          raise e)
+  | exception Stm_core.Conflict ->
+      d.cur <- Stm_core.Idle;
+      C.abort_cleanup txn;
+      d.aborts <- d.aborts + 1;
+      if tel then tp.Tel.observe Tel.Abort (tp.Tel.now () - t0);
+      end_attempt "conflict";
+      attempt (module C) d f (n + 1) (backoff n seed)
+  | exception Retry ->
+      d.cur <- Stm_core.Idle;
+      C.abort_cleanup txn;
+      d.aborts <- d.aborts + 1;
+      if tel then tp.Tel.observe Tel.Abort (tp.Tel.now () - t0);
+      end_attempt "retry";
+      attempt (module C) d f (n + 1) (backoff (n + 2) seed)
+  | exception (Chaos.Crashed as e) ->
+      (* Crashed in the body: same no-cleanup contract. *)
+      d.cur <- Stm_core.Idle;
+      end_attempt "exception";
+      raise e
+  | exception e ->
+      d.cur <- Stm_core.Idle;
+      C.abort_cleanup txn;
+      end_attempt "exception";
+      raise e
+
+let atomically f =
+  let d = Domain.DLS.get dom_key in
+  match d.cur with
+  | Stm_core.P _ -> f () (* flat nesting: join the enclosing transaction *)
+  | Stm_core.Idle -> attempt (Atomic.get selected) d f 0 (Domain.self () :> int)
+
+let stats () =
+  List.fold_left
+    (fun (c, a) d -> (c + d.commits, a + d.aborts))
+    (0, 0) (Atomic.get doms)
 
 let recover () =
   (* A recovery point is also where stranded observation handlers go:

@@ -64,7 +64,8 @@ val in_transaction : unit -> bool
 
 val stats : unit -> int * int
 (** [(commits, aborts)] since program start, summed over all domains
-    and algorithms. *)
+    and algorithms.  Each domain counts into its own record; a sum read
+    while other domains run may miss their latest increments. *)
 
 val recover : unit -> unit
 (** Release core-global lock state abandoned by crashed transactions of
@@ -203,7 +204,9 @@ module Chaos : sig
     | Validate  (** before read-set validation *)
     | Lock_acquire  (** before a lock/ownership acquisition *)
     | Pre_commit  (** after validation, before publishing (held) *)
-    | Post_commit  (** after the commit took effect (released) *)
+    | Post_commit
+        (** after the commit took effect (released); [Abort] here acts
+            as [Proceed], since there is nothing left to abort *)
 
   type action = Stm_core.Chaos.action =
     | Proceed

@@ -1,10 +1,11 @@
 (* Shared substrate of the real-domains STM algorithm zoo.
 
    Everything algorithm-independent lives here: the t-variable
-   representation, the universal-type trick for heterogeneous
-   read/write sets, the three zero-cost observation seams ([Trace],
-   [Chaos], [Tel]) and the core interface [S] that each algorithm
-   implements.  The [Stm] facade dispatches the public API to the
+   representation and its type-erased [handle], the universal-type
+   trick for heterogeneous read/write sets, the write log [Wlog] shared
+   by the write-back cores, the zero-cost observation seams ([Trace],
+   [Chaos], [Tel], [Blame]) and the core interface [S] that each
+   algorithm implements.  The [Stm] facade dispatches the public API to the
    currently selected core; the cores themselves live in [Stm_tl2],
    [Stm_glock], [Stm_dstm] and [Stm_norec].
 
@@ -30,6 +31,18 @@ type locator = {
          seam is armed, -1 otherwise — lets a stealer name its victim *)
 }
 
+(* The type-erased face of a t-variable, built once at creation: what
+   a write log or a read log needs to lock, validate, stamp and publish
+   the t-variable without knowing its type.  [h_vlock] and [h_owner]
+   are the very atomics of the t-variable; [h_set] stores a value
+   injected by the t-variable's own [inj]. *)
+type handle = {
+  h_id : int;
+  h_vlock : int Atomic.t;
+  h_owner : int Atomic.t;
+  h_set : univ -> unit;
+}
+
 type 'a tvar = {
   id : int;
   content : 'a Atomic.t;
@@ -39,7 +52,8 @@ type 'a tvar = {
       (* plan slot of the last lock holder / committed writer, written
          only while the Blame seam is armed (-1 = unknown) *)
   inj : 'a -> univ;
-  proj : univ -> 'a option;
+  proj : univ -> 'a;
+  handle : handle;
 }
 
 let next_id = Atomic.make 0
@@ -152,16 +166,30 @@ let tvar (type a) (init : a) : a tvar =
     exception E of a
   end in
   let inj x = M.E x in
+  (* Every [univ] a core projects was injected by this same t-variable,
+     so the other arm is unreachable. *)
+  let proj = function M.E x -> x | _ -> assert false in
   let u0 = inj init in
+  let id = Atomic.fetch_and_add next_id 1 in
+  let content = Atomic.make init in
+  let vlock = Atomic.make 0 in
+  let owner = Atomic.make (-1) in
   {
-    id = Atomic.fetch_and_add next_id 1;
-    content = Atomic.make init;
-    vlock = Atomic.make 0;
+    id;
+    content;
+    vlock;
     locator =
       Atomic.make { l_status = root_status; l_old = u0; l_new = u0; l_owner = -1 };
-    owner = Atomic.make (-1);
+    owner;
     inj;
-    proj = (function M.E x -> Some x | _ -> None);
+    proj;
+    handle =
+      {
+        h_id = id;
+        h_vlock = vlock;
+        h_owner = owner;
+        h_set = (fun u -> Atomic.set content (proj u));
+      };
   }
 
 exception Retry
@@ -214,12 +242,14 @@ module Chaos = struct
   (* Interpretation for points where the domain holds no commit locks;
      commit paths interpret actions themselves so an [Abort] can back
      out whatever the core already holds (and a [Crash] deliberately
-     does not). *)
+     does not).  At [Post_commit] the transaction has already taken
+     effect: there is nothing left to abort, so [Abort] proceeds — a
+     retry would apply the committed body a second time. *)
   let fire p =
     match decide p with
     | Proceed -> ()
     | Stall n -> stall n
-    | Abort -> raise Conflict
+    | Abort -> ( match p with Post_commit -> () | _ -> raise Conflict)
     | Crash -> raise Crashed
 end
 
@@ -339,63 +369,133 @@ let locked v = v land 1 = 1
 let version_of v = v lsr 1
 let read_vlock tv = Atomic.get tv.vlock
 
-let try_lock_tvar tv =
-  let v = read_vlock tv in
-  (not (locked v)) && Atomic.compare_and_set tv.vlock v (v lor 1)
+(* The write log shared by the write-back cores (tl2, global-lock,
+   norec): one per domain per core, reused by every transaction of
+   that domain, so buffering a write allocates only the injected value.
+   Entries are stored in arrival order and indexed by a sorted id array
+   — the canonical commit-time lock order — so commit never sorts and a
+   lookup is a binary search over plain ints.  Inserting shifts only the
+   two int arrays: moving boxed entries in a reused (major-heap) array
+   would pay a write barrier per moved slot.  A one-word filter with bit
+   [id mod 63] set for every logged id answers the common read-own-write
+   miss without searching.  Emptied value slots are reset to [hole] so
+   a finished transaction keeps no buffered value alive.  Handle slots
+   are left until reused: resetting them too paid one write barrier per
+   slot, measured at 7% of the median request latency of the long-txn
+   benchmark workload (2-core VM), and a stale handle only keeps its
+   t-variable's cells reachable, for at most as many t-variables as the
+   largest transaction the domain has run. *)
+exception Hole
 
-let unlock_tvar tv =
-  let v = read_vlock tv in
-  if locked v then Atomic.set tv.vlock (v land lnot 1)
+let hole : univ = Hole
 
-let publish_tvar (type a) (tv : a tvar) u wv =
-  (match tv.proj u with
-  | Some x -> Atomic.set tv.content x
-  | None -> assert false);
-  Atomic.set tv.vlock (wv lsl 1)
+let no_handle =
+  { h_id = -1; h_vlock = Atomic.make 0; h_owner = Atomic.make (-1); h_set = ignore }
 
-let set_tvar (type a) (tv : a tvar) u =
-  match tv.proj u with
-  | Some x -> Atomic.set tv.content x
-  | None -> assert false
-
-(* Write-set entry shared by the write-back cores: the pending value
-   plus closures for the commit protocol.  TL2 uses
-   [w_try_lock]/[w_unlock]/[w_publish]; the serialized cores
-   (global-lock, NOrec) only use [w_set]. *)
-type wentry = {
-  w_id : int;
-  mutable w_value : univ;
-  w_try_lock : unit -> bool;
-  w_unlock : unit -> unit;
-  w_publish : univ -> int -> unit;
-  w_set : univ -> unit;
-  w_owner : int Atomic.t;  (* the t-variable's [owner] word *)
-}
-
-let wentry_of tv =
-  {
-    w_id = tv.id;
-    w_value = tv.inj (Atomic.get tv.content) (* overwritten before use *);
-    w_try_lock = (fun () -> try_lock_tvar tv);
-    w_unlock = (fun () -> unlock_tvar tv);
-    w_publish = (fun u wv -> publish_tvar tv u wv);
-    w_set = (fun u -> set_tvar tv u);
-    w_owner = tv.owner;
+module Wlog = struct
+  type t = {
+    mutable hs : handle array;  (* [0, n) in arrival order *)
+    mutable vs : univ array;
+    mutable ids : int array;  (* [0, n): the logged ids, ascending *)
+    mutable ord : int array;  (* arrival index of the entry with [ids.(j)] *)
+    mutable n : int;
+    mutable filter : int;
   }
 
-let find_written (type a) writes (tv : a tvar) : a option =
-  match List.find_opt (fun w -> w.w_id = tv.id) writes with
-  | None -> None
-  | Some w -> (
-      match tv.proj w.w_value with Some x -> Some x | None -> assert false)
+  let initial_capacity = 8
+  let filter_width = 63
 
-let buffer_write (type a) writes (tv : a tvar) (x : a) =
-  match List.find_opt (fun w -> w.w_id = tv.id) !writes with
-  | Some w -> w.w_value <- tv.inj x
-  | None ->
-      let w = wentry_of tv in
-      w.w_value <- tv.inj x;
-      writes := w :: !writes
+  let create () =
+    {
+      hs = Array.make initial_capacity no_handle;
+      vs = Array.make initial_capacity hole;
+      ids = Array.make initial_capacity 0;
+      ord = Array.make initial_capacity 0;
+      n = 0;
+      filter = 0;
+    }
+
+  let length l = l.n
+  let handle l j = l.hs.(l.ord.(j))
+  let value l j = l.vs.(l.ord.(j))
+  let bit id = 1 lsl (id mod filter_width)
+
+  (* First position in [lo, hi) whose id is >= [id]. *)
+  let rec lower_bound ids id lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if ids.(mid) < id then lower_bound ids id (mid + 1) hi
+      else lower_bound ids id lo mid
+
+  let find l id =
+    if l.filter land bit id = 0 then -1
+    else
+      let j = lower_bound l.ids id 0 l.n in
+      if j < l.n && l.ids.(j) = id then j else -1
+
+  let grow l =
+    let cap = 2 * Array.length l.hs in
+    let hs = Array.make cap no_handle and vs = Array.make cap hole in
+    let ids = Array.make cap 0 and ord = Array.make cap 0 in
+    Array.blit l.hs 0 hs 0 l.n;
+    Array.blit l.vs 0 vs 0 l.n;
+    Array.blit l.ids 0 ids 0 l.n;
+    Array.blit l.ord 0 ord 0 l.n;
+    l.hs <- hs;
+    l.vs <- vs;
+    l.ids <- ids;
+    l.ord <- ord
+
+  let add l (h : handle) u =
+    let id = h.h_id and n = l.n in
+    let j =
+      if n = 0 || l.ids.(n - 1) < id then n else lower_bound l.ids id 0 n
+    in
+    if j < n && l.ids.(j) = id then l.vs.(l.ord.(j)) <- u
+    else begin
+      if n = Array.length l.hs then grow l;
+      let ids = l.ids and ord = l.ord in
+      for k = n downto j + 1 do
+        ids.(k) <- ids.(k - 1);
+        ord.(k) <- ord.(k - 1)
+      done;
+      ids.(j) <- id;
+      ord.(j) <- n;
+      l.hs.(n) <- h;
+      l.vs.(n) <- u;
+      l.n <- n + 1;
+      l.filter <- l.filter lor bit id
+    end
+
+  let clear l =
+    for i = 0 to l.n - 1 do
+      l.vs.(i) <- hole
+    done;
+    l.n <- 0;
+    l.filter <- 0
+end
+
+(* Write-back for the serialized cores (global-lock, norec), whose one
+   held lock stands for every t-variable lock: the trace shows the write
+   set acquired, published and released under it so the lock-discipline
+   lints see a coherent protocol. *)
+let write_back w =
+  let n = Wlog.length w in
+  let tr = Atomic.get Trace.tracing in
+  if tr then
+    for k = 0 to n - 1 do
+      Trace.emit Tev.Lock "acquire" Tev.Instant
+        [ ("tvar", Tev.Int (Wlog.handle w k).h_id); ("order", Tev.Int k) ]
+    done;
+  for i = 0 to n - 1 do
+    let h = Wlog.handle w i in
+    if tr then begin
+      Trace.emit Tev.Txn "publish" Tev.Instant [ ("tvar", Tev.Int h.h_id) ];
+      Trace.emit Tev.Lock "release" Tev.Instant [ ("tvar", Tev.Int h.h_id) ]
+    end;
+    h.h_set (Wlog.value w i)
+  done
 
 (* Direct (non-transactional) atomic snapshot read through the vlock
    seqlock — the write-back cores' [direct_read]. *)
@@ -423,7 +523,7 @@ let spin_budget = 1 lsl 14
 
 (* Per-algorithm core.  A core supplies the transaction engine; the
    [Stm] facade owns the retry loop (backoff, trace attempt spans, Tel
-   Begin/Commit/Abort timing, global commit/abort counters) and the
+   Begin/Commit/Abort timing, per-domain commit/abort counters) and the
    per-domain current-transaction slot.
 
    Contract:
@@ -451,4 +551,4 @@ module type S = sig
   val direct_read : 'a tvar -> 'a
 end
 
-type packed = P : (module S with type txn = 't) * 't -> packed
+type packed = Idle | P : (module S with type txn = 't) * 't -> packed

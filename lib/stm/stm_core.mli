@@ -1,9 +1,9 @@
 (** Shared substrate of the real-domains STM algorithm zoo (internal).
 
     This module is the algorithm-independent half of [lib/stm]: the
-    t-variable representation, the three observation seams ([Trace],
-    [Chaos], [Tel]) and the core interface {!S} each algorithm
-    implements.  User code should go through the {!Stm} facade; the
+    t-variable representation, the write log {!Wlog}, the observation
+    seams ([Trace], [Chaos], [Tel], [Blame]) and the core interface {!S}
+    each algorithm implements.  User code should go through the {!Stm} facade; the
     types here are exposed so the cores ([Stm_tl2], [Stm_glock],
     [Stm_dstm], [Stm_norec]) can share one t-variable type and so the
     facade can re-export the seams unchanged. *)
@@ -25,6 +25,18 @@ type locator = {
     domain's plan slot when the {!Blame} seam is armed (-1 otherwise):
     it lets a stealer name the victim of its abort. *)
 
+type handle = {
+  h_id : int;
+  h_vlock : int Atomic.t;
+  h_owner : int Atomic.t;
+  h_set : univ -> unit;
+}
+(** The type-erased face of a t-variable, built once by {!tvar}: its
+    id, its versioned lock and owner word (the very atomics of the
+    t-variable) and a setter for values injected by its [inj].  Logs
+    store handles, so locking, validating and publishing need no
+    per-access closure. *)
+
 type 'a tvar = {
   id : int;
   content : 'a Atomic.t;
@@ -34,7 +46,10 @@ type 'a tvar = {
       (** plan slot of the last lock holder / committed writer, written
           only while {!Blame} is armed (-1 = unknown) *)
   inj : 'a -> univ;
-  proj : univ -> 'a option;
+  proj : univ -> 'a;
+      (** inverse of [inj]; only ever applied to this t-variable's own
+          injections *)
+  handle : handle;
 }
 
 val tvar : 'a -> 'a tvar
@@ -99,8 +114,10 @@ module Chaos : sig
 
   val fire : point -> unit
   (** [decide] plus the no-locks-held interpretation: [Abort] raises
-      {!Conflict}, [Crash] raises {!Crashed}.  Commit paths that hold
-      locks interpret {!decide} themselves. *)
+      {!Conflict} (except at [Post_commit], where the transaction has
+      already taken effect and [Abort] proceeds), [Crash] raises
+      {!Crashed}.  Commit paths that hold locks interpret {!decide}
+      themselves. *)
 end
 
 (** Always-on telemetry probe; see [Stm.Tel] for the user-facing
@@ -176,34 +193,49 @@ end
 val locked : int -> bool
 val version_of : int -> int
 val read_vlock : 'a tvar -> int
-val try_lock_tvar : 'a tvar -> bool
-val unlock_tvar : 'a tvar -> unit
 
-val publish_tvar : 'a tvar -> univ -> int -> unit
-(** Set the content and release the vlock at the given version. *)
+(** {1 The write log}
 
-val set_tvar : 'a tvar -> univ -> unit
-(** Set the content only (serialized cores' write-back). *)
+    Shared by the write-back cores (tl2, global-lock, norec).  Each
+    core keeps one log per domain and reuses it for every transaction
+    of that domain, so buffering a write allocates only the injected
+    value.  Entries are sorted by t-variable id — the canonical lock
+    order — and a one-word id filter answers most read-own-write misses
+    without a search. *)
 
-(** {1 Write-set entries} *)
+val no_handle : handle
+(** Filler for empty log slots; never locked or published. *)
 
-type wentry = {
-  w_id : int;
-  mutable w_value : univ;
-  w_try_lock : unit -> bool;
-  w_unlock : unit -> unit;
-  w_publish : univ -> int -> unit;
-  w_set : univ -> unit;
-  w_owner : int Atomic.t;  (** the t-variable's [owner] word *)
-}
+module Wlog : sig
+  type t
 
-val wentry_of : 'a tvar -> wentry
+  val initial_capacity : int
+  val filter_width : int
 
-val find_written : wentry list -> 'a tvar -> 'a option
-(** Read-own-write lookup. *)
+  val create : unit -> t
+  val length : t -> int
 
-val buffer_write : wentry list ref -> 'a tvar -> 'a -> unit
-(** Insert or update the buffered write for the t-variable. *)
+  val handle : t -> int -> handle
+  (** [handle l i], [0 <= i < length l]: entries ascend by [h_id]. *)
+
+  val value : t -> int -> univ
+
+  val find : t -> int -> int
+  (** Index of the entry for this t-variable id, or -1. *)
+
+  val add : t -> handle -> univ -> unit
+  (** Insert, or overwrite the buffered value of, the entry. *)
+
+  val clear : t -> unit
+  (** Empty the log and reset its value slots, so it keeps no buffered
+      value alive.  Handle slots stay until reused. *)
+end
+
+val write_back : Wlog.t -> unit
+(** Publish every logged value, in id order, for a core that holds one
+    lock standing for all t-variable locks (global-lock, norec); when
+    tracing, each t-variable shows as acquired, published and released
+    under it. *)
 
 val snapshot_read : 'a tvar -> 'a
 (** Direct atomic snapshot read through the vlock seqlock. *)
@@ -217,7 +249,7 @@ val spin_budget : int
 
     A core supplies the transaction engine; the [Stm] facade owns the
     retry loop (backoff, trace attempt spans, Tel Begin/Commit/Abort
-    timing, global commit/abort counters) and the per-domain
+    timing, per-domain commit/abort counters) and the per-domain
     current-transaction slot.
 
     Contract:
@@ -251,6 +283,6 @@ module type S = sig
   val direct_read : 'a tvar -> 'a
 end
 
-type packed = P : (module S with type txn = 't) * 't -> packed
-(** A core paired with one of its in-flight transactions — the
-    facade's per-domain current-transaction slot. *)
+type packed = Idle | P : (module S with type txn = 't) * 't -> packed
+(** The facade's per-domain current-transaction slot: [Idle], or a core
+    paired with its in-flight transaction. *)

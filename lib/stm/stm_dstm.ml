@@ -46,7 +46,7 @@ module Tev = Tm_trace.Trace_event
 
 let algo_name = "dstm"
 
-type rentry = {
+type dread = {
   dr_id : int;
   dr_check : unit -> bool;
   dr_owner : unit -> int;  (** blame: installer slot of the current locator *)
@@ -60,7 +60,7 @@ type dwentry = { dw_id : int; mutable dw_val : univ }
 
 type txn = {
   d_status : int Atomic.t;
-  mutable d_reads : rentry list;
+  mutable d_reads : dread list;
   mutable d_writes : dwentry list;
 }
 
@@ -118,9 +118,7 @@ let validate t =
 
 let read (type a) t (tv : a tvar) : a =
   match List.find_opt (fun w -> w.dw_id = tv.id) t.d_writes with
-  | Some w -> (
-      (* Read-own-write, served from the journal. *)
-      match tv.proj w.dw_val with Some x -> x | None -> assert false)
+  | Some w -> tv.proj w.dw_val (* read-own-write, served from the journal *)
   | None ->
       if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
       if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
@@ -136,7 +134,7 @@ let read (type a) t (tv : a tvar) : a =
           dr_owner = (fun () -> (Atomic.get tv.locator).l_owner);
         }
         :: t.d_reads;
-      (match tv.proj u with Some x -> x | None -> assert false)
+      tv.proj u
 
 let write (type a) t (tv : a tvar) (x : a) : unit =
   let u = tv.inj x in
@@ -198,7 +196,4 @@ let abort_cleanup t =
    next rival, which is the whole point of the algorithm. *)
 let recover () = ()
 
-let direct_read (type a) (tv : a tvar) : a =
-  match tv.proj (committed_univ tv) with
-  | Some x -> x
-  | None -> assert false
+let direct_read (type a) (tv : a tvar) : a = tv.proj (committed_univ tv)

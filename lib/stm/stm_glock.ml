@@ -27,7 +27,6 @@
    sit behind its armed guard (tmlive static: seam-contract/guard). *)
 
 open Stm_core
-module Tev = Tm_trace.Trace_event
 
 let algo_name = "global-lock"
 
@@ -53,9 +52,20 @@ let yield_spins = 512
    only while the Blame seam is armed). *)
 let blame_holder = Atomic.make (-1)
 
-type txn = { mutable held : bool; mutable writes : wentry list }
+(* One transaction record per domain, reused by every transaction the
+   domain runs. *)
+type txn = { mutable held : bool; writes : Wlog.t }
 
-let begin_ () = { held = false; writes = [] }
+let key : txn Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { held = false; writes = Wlog.create () })
+
+(* A crashed predecessor on this domain may have left the record
+   holding (the serializer itself stays stranded until [recover]). *)
+let begin_ () =
+  let t = Domain.DLS.get key in
+  t.held <- false;
+  Wlog.clear t.writes;
+  t
 
 let release t =
   if t.held then begin
@@ -104,22 +114,20 @@ let ensure_locked t =
   end
 
 let read (type a) t (tv : a tvar) : a =
-  match find_written t.writes tv with
-  | Some x -> x (* read-own-write *)
-  | None ->
-      ensure_locked t;
-      if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
-      if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
-      Atomic.get tv.content
+  let i = Wlog.find t.writes tv.id in
+  if i >= 0 then tv.proj (Wlog.value t.writes i) (* read-own-write *)
+  else begin
+    ensure_locked t;
+    if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
+    if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
+    Atomic.get tv.content
+  end
 
 let write (type a) t (tv : a tvar) (x : a) : unit =
   ensure_locked t;
-  let writes = ref t.writes in
-  buffer_write writes tv x;
-  t.writes <- !writes
+  Wlog.add t.writes tv.handle (tv.inj x)
 
 let commit t =
-  let tr = Atomic.get Trace.tracing in
   let tel = Atomic.get Tel.armed in
   let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
   (* Chaos at [Pre_commit] holds the serializer: [Abort] releases it
@@ -132,36 +140,18 @@ let commit t =
          release t;
          raise Conflict
      | Chaos.Crash -> raise Chaos.Crashed);
-  (match t.writes with
-  | [] -> ()
-  | writes ->
-      let t0 = if tel then tp.Tel.now () else 0 in
-      let ws = List.sort_uniq (fun a b -> Int.compare a.w_id b.w_id) writes in
-      (* Holding the serializer is holding every lock: the trace shows
-         the write set acquired, published and released under it so the
-         lock-discipline lints see a coherent protocol. *)
-      if tr then
-        List.iteri
-          (fun k (w : wentry) ->
-            Trace.emit Tev.Lock "acquire" Tev.Instant
-              [ ("tvar", Tev.Int w.w_id); ("order", Tev.Int k) ])
-          ws;
-      List.iter
-        (fun (w : wentry) ->
-          if tr then begin
-            Trace.emit Tev.Txn "publish" Tev.Instant
-              [ ("tvar", Tev.Int w.w_id) ];
-            Trace.emit Tev.Lock "release" Tev.Instant
-              [ ("tvar", Tev.Int w.w_id) ]
-          end;
-          w.w_set w.w_value)
-        ws;
-      if tel then tp.Tel.observe Tel.Publish (tp.Tel.now () - t0));
+  let w = t.writes in
+  if Wlog.length w > 0 then begin
+    let t0 = if tel then tp.Tel.now () else 0 in
+    write_back w;
+    if tel then tp.Tel.observe Tel.Publish (tp.Tel.now () - t0)
+  end;
+  Wlog.clear w;
   release t;
   if Atomic.get Chaos.armed then Chaos.fire Chaos.Post_commit
 
 let abort_cleanup t =
-  t.writes <- [];
+  Wlog.clear t.writes;
   release t
 
 (* A domain that crashed (or is abandoned) while holding the serializer

@@ -44,20 +44,68 @@ let seqlock = Atomic.make 0
    exhausts its budget, blames this slot. *)
 let seq_owner = Atomic.make (-1)
 
-type rentry = { nr_id : int; nr_check : unit -> bool }
+(* A read-set entry: the t-variable's content cell and the value read
+   from it.  The existential keeps the comparison typed without a
+   closure; validation is [Atomic.get cell == seen]. *)
+type seen = Seen : 'a Atomic.t * 'a -> seen
 
+let no_seen = Seen (Atomic.make (), ())
+
+(* One transaction record per domain, reused by every transaction the
+   domain runs: the read set is flat arrays in read order, the write
+   log the shared [Wlog]. *)
 type txn = {
   mutable snap : int;
-  mutable reads : rentry list;
-  mutable writes : wentry list;
+  mutable r_ids : int array;
+  mutable r_seen : seen array;
+  mutable r_n : int;
+  writes : Wlog.t;
 }
 
+let key : txn Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        snap = 0;
+        r_ids = Array.make Wlog.initial_capacity (-1);
+        r_seen = Array.make Wlog.initial_capacity no_seen;
+        r_n = 0;
+        writes = Wlog.create ();
+      })
+
+(* Empty both logs and drop their references, so a finished
+   transaction keeps no value alive. *)
+let finish t =
+  for i = 0 to t.r_n - 1 do
+    t.r_seen.(i) <- no_seen
+  done;
+  t.r_n <- 0;
+  Wlog.clear t.writes
+
 let begin_ () =
+  let t = Domain.DLS.get key in
+  finish t;
   let g = Atomic.get seqlock in
   (* Never block in begin: under an odd (held or stranded) lock start
-     from the next even value — the first read will spin/validate where
-     the re-run transaction body keeps stop flags observable. *)
-  { snap = (if g land 1 = 0 then g else g + 1); reads = []; writes = [] }
+     from the last even value, which is already stale, so the first
+     read spins and revalidates where the re-run transaction body keeps
+     stop flags observable.  Starting from the next even value instead
+     would let a read of the old content pass as part of the writer's
+     snapshot once the writer releases: a lost update. *)
+  t.snap <- (if g land 1 = 0 then g else g - 1);
+  t
+
+let log_read t id r =
+  if t.r_n = Array.length t.r_ids then begin
+    let cap = 2 * t.r_n in
+    let ids = Array.make cap (-1) and seen = Array.make cap no_seen in
+    Array.blit t.r_ids 0 ids 0 t.r_n;
+    Array.blit t.r_seen 0 seen 0 t.r_n;
+    t.r_ids <- ids;
+    t.r_seen <- seen
+  end;
+  t.r_ids.(t.r_n) <- id;
+  t.r_seen.(t.r_n) <- r;
+  t.r_n <- t.r_n + 1
 
 let await_even () =
   let rec go budget =
@@ -76,123 +124,104 @@ let await_even () =
   in
   go spin_budget
 
+(* Index of the newest read whose cell no longer holds the value seen,
+   or -1. *)
+let rec newest_invalid t i =
+  if i < 0 then -1
+  else
+    match t.r_seen.(i) with
+    | Seen (cell, v) ->
+        if Atomic.get cell == v then newest_invalid t (i - 1) else i
+
 (* Value-based revalidation: wait for a quiescent lock, re-check every
    read, and adopt the observed sequence number as the new snapshot if
    the lock did not move during the checks. *)
-let revalidate t =
-  let rec go () =
-    let s = await_even () in
-    let rec first_invalid = function
-      | [] -> None
-      | r :: rest -> if r.nr_check () then first_invalid rest else Some r.nr_id
-    in
-    (match first_invalid t.reads with
-    | None -> ()
-    | Some bad ->
-        if Atomic.get Trace.tracing then
-          Trace.emit Tev.Validation "read-invalid" Tev.Instant
-            [ ("tvar", Tev.Int bad) ];
-        if Atomic.get Blame.armed then
-          Blame.emit ~aggressor:(Atomic.get seq_owner) ~tvar:bad
-            Blame.Validation;
-        raise Conflict);
-    if Atomic.get seqlock = s then t.snap <- s else go ()
-  in
-  go ()
+let rec revalidate t =
+  let s = await_even () in
+  let bad = newest_invalid t (t.r_n - 1) in
+  if bad >= 0 then begin
+    let id = t.r_ids.(bad) in
+    if Atomic.get Trace.tracing then
+      Trace.emit Tev.Validation "read-invalid" Tev.Instant
+        [ ("tvar", Tev.Int id) ];
+    if Atomic.get Blame.armed then
+      Blame.emit ~aggressor:(Atomic.get seq_owner) ~tvar:id Blame.Validation;
+    raise Conflict
+  end;
+  if Atomic.get seqlock = s then t.snap <- s else revalidate t
+
+let rec sample t tv =
+  let v = Atomic.get tv.content in
+  if Atomic.get seqlock = t.snap then v
+  else begin
+    revalidate t;
+    sample t tv
+  end
 
 let read (type a) t (tv : a tvar) : a =
-  match find_written t.writes tv with
-  | Some x -> x (* read-own-write *)
-  | None ->
-      if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
-      if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
-      let rec sample () =
-        let v = Atomic.get tv.content in
-        if Atomic.get seqlock = t.snap then v
-        else begin
-          revalidate t;
-          sample ()
-        end
-      in
-      let v = sample () in
-      t.reads <-
-        { nr_id = tv.id; nr_check = (fun () -> Atomic.get tv.content == v) }
-        :: t.reads;
-      v
+  let i = Wlog.find t.writes tv.id in
+  if i >= 0 then tv.proj (Wlog.value t.writes i) (* read-own-write *)
+  else begin
+    if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
+    if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
+    let v = sample t tv in
+    log_read t tv.id (Seen (tv.content, v));
+    v
+  end
 
 let write (type a) t (tv : a tvar) (x : a) : unit =
-  let writes = ref t.writes in
-  buffer_write writes tv x;
-  t.writes <- !writes
+  Wlog.add t.writes tv.handle (tv.inj x)
+
+(* Acquire = validate: CAS the validated snapshot to odd, revalidating
+   (and adopting newer snapshots) until it wins. *)
+let rec acquire t =
+  if not (Atomic.compare_and_set seqlock t.snap (t.snap + 1)) then begin
+    revalidate t;
+    acquire t
+  end
 
 let commit t =
-  match t.writes with
-  | [] -> () (* read-only: the read set was kept snapshot-consistent *)
-  | writes ->
-      let tr = Atomic.get Trace.tracing in
-      let tel = Atomic.get Tel.armed in
-      let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
-      if Atomic.get Chaos.armed then Chaos.fire Chaos.Validate;
-      let t0 = if tel then tp.Tel.now () else 0 in
-      (* Acquire = validate: CAS the validated snapshot to odd,
-         revalidating (and adopting newer snapshots) until it wins. *)
-      let rec acquire () =
-        if not (Atomic.compare_and_set seqlock t.snap (t.snap + 1)) then begin
-          revalidate t;
-          acquire ()
-        end
-      in
-      acquire ();
-      if Atomic.get Blame.armed then Atomic.set seq_owner (Blame.self ());
-      let t1 =
-        if tel then begin
-          let t' = tp.Tel.now () in
-          tp.Tel.observe Tel.Validate (t' - t0);
-          t'
-        end
-        else 0
-      in
-      (* Sequence lock held (odd): a chaos [Abort] must restore it, a
-         [Crash] deliberately leaves it odd — the stranded-seqlock
-         adversary. *)
-      (if Atomic.get Chaos.armed then
-         match Chaos.decide Chaos.Pre_commit with
-         | Chaos.Proceed -> ()
-         | Chaos.Stall n -> Chaos.stall n
-         | Chaos.Abort ->
-             Atomic.set seqlock t.snap;
-             raise Conflict
-         | Chaos.Crash -> raise Chaos.Crashed);
-      let ws = List.sort_uniq (fun a b -> Int.compare a.w_id b.w_id) writes in
-      (* Holding the sequence lock is holding every lock: trace the
-         write set as acquired, published and released under it so the
-         lock-discipline lints see a coherent protocol. *)
-      if tr then
-        List.iteri
-          (fun k (w : wentry) ->
-            Trace.emit Tev.Lock "acquire" Tev.Instant
-              [ ("tvar", Tev.Int w.w_id); ("order", Tev.Int k) ])
-          ws;
-      List.iter
-        (fun (w : wentry) ->
-          if tr then begin
-            Trace.emit Tev.Txn "publish" Tev.Instant
-              [ ("tvar", Tev.Int w.w_id) ];
-            Trace.emit Tev.Lock "release" Tev.Instant
-              [ ("tvar", Tev.Int w.w_id) ]
-          end;
-          w.w_set w.w_value)
-        ws;
-      Atomic.set seqlock (t.snap + 2);
-      if tel then tp.Tel.observe Tel.Publish (tp.Tel.now () - t1);
-      if Atomic.get Chaos.armed then Chaos.fire Chaos.Post_commit
+  let w = t.writes in
+  let n = Wlog.length w in
+  if n = 0 then finish t
+    (* read-only: the read set was kept snapshot-consistent *)
+  else begin
+    let tel = Atomic.get Tel.armed in
+    let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
+    if Atomic.get Chaos.armed then Chaos.fire Chaos.Validate;
+    let t0 = if tel then tp.Tel.now () else 0 in
+    acquire t;
+    if Atomic.get Blame.armed then Atomic.set seq_owner (Blame.self ());
+    let t1 =
+      if tel then begin
+        let t' = tp.Tel.now () in
+        tp.Tel.observe Tel.Validate (t' - t0);
+        t'
+      end
+      else 0
+    in
+    (* Sequence lock held (odd): a chaos [Abort] must restore it, a
+       [Crash] deliberately leaves it odd — the stranded-seqlock
+       adversary. *)
+    (if Atomic.get Chaos.armed then
+       match Chaos.decide Chaos.Pre_commit with
+       | Chaos.Proceed -> ()
+       | Chaos.Stall n -> Chaos.stall n
+       | Chaos.Abort ->
+           Atomic.set seqlock t.snap;
+           raise Conflict
+       | Chaos.Crash -> raise Chaos.Crashed);
+    write_back w;
+    Atomic.set seqlock (t.snap + 2);
+    if tel then tp.Tel.observe Tel.Publish (tp.Tel.now () - t1);
+    finish t;
+    if Atomic.get Chaos.armed then Chaos.fire Chaos.Post_commit
+  end
 
 (* Conflict is only ever raised while the sequence lock is free (the
    held-lock window cannot fail except by deliberate chaos, which
    restores or strands it itself), so there is nothing to release. *)
-let abort_cleanup t =
-  t.reads <- [];
-  t.writes <- []
+let abort_cleanup t = finish t
 
 (* A transaction that crashed between acquiring the sequence lock and
    publishing leaves it odd forever; once every transaction is finished

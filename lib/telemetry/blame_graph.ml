@@ -22,6 +22,9 @@ module Stm = Tm_stm.Stm
 type t = {
   domains : int;
   cells : Instrument.counter array array array;
+  base : int array array array;
+      (* cell values at the last [mark_window]; accessors report the
+         counts since then *)
   commits : Instrument.counter array;  (* per slot, unknown excluded *)
   last_commit : int Atomic.t array;
   clock : int Atomic.t;
@@ -73,6 +76,9 @@ let create reg ~domains =
   {
     domains;
     cells;
+    base =
+      Array.init (domains + 1) (fun _ ->
+          Array.init (domains + 1) (fun _ -> Array.make ncauses 0));
     commits;
     last_commit = Array.init domains (fun _ -> Atomic.make 0);
     clock = Atomic.make 0;
@@ -115,12 +121,28 @@ let uninstall = Stm.Blame.uninstall
 let domains t = t.domains
 let clock t = Atomic.get t.clock
 
+let mark_window t =
+  Array.iteri
+    (fun vi row ->
+      Array.iteri
+        (fun ai cs ->
+          Array.iteri
+            (fun ci c -> t.base.(vi).(ai).(ci) <- Instrument.value c)
+            cs)
+        row)
+    t.cells
+
+let cell t vi ai ci = Instrument.value t.cells.(vi).(ai).(ci) - t.base.(vi).(ai).(ci)
+
 let edge t ~victim ~aggressor cause =
-  Instrument.value t.cells.(idx victim).(idx aggressor).(cause_index cause)
+  cell t (idx victim) (idx aggressor) (cause_index cause)
 
 let edge_total t ~victim ~aggressor =
-  let row = t.cells.(idx victim).(idx aggressor) in
-  Array.fold_left (fun acc c -> acc + Instrument.value c) 0 row
+  let acc = ref 0 in
+  for ci = 0 to ncauses - 1 do
+    acc := !acc + cell t (idx victim) (idx aggressor) ci
+  done;
+  !acc
 
 let victim_total t victim =
   let acc = ref 0 in

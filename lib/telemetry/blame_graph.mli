@@ -43,7 +43,14 @@ val clock : t -> int
 (** {2 Graph accessors}
 
     Identities are plan slots; [-1] is the unknown slot and is a valid
-    argument everywhere a victim/aggressor is taken. *)
+    argument everywhere a victim/aggressor is taken.  Every accessor
+    and {!classify} count the events since the last {!mark_window}
+    (since creation if there was none); the registry counters stay
+    cumulative. *)
+
+val mark_window : t -> unit
+(** Start the observation window: later accessor calls ignore every
+    event recorded so far. *)
 
 val edge : t -> victim:int -> aggressor:int -> Stm.Blame.cause -> int
 

@@ -402,42 +402,47 @@ let test_stm_model =
       Array.for_all2 ( = ) model (Array.map Stm.read tvars))
 
 (* ------------------------------------------------------------------ *)
-(* The global-lock runtime (Stm_lock): same API, no aborts ever. *)
+(* The global-lock core through the facade: no aborts without
+   contention. *)
 
-module L = Tm_stm.Stm_lock
+let with_glock f () = Stm.with_algo Stm.Algo.Global_lock f
 
-let test_lock_stm_basic () =
-  let v = L.tvar 1 in
-  let r =
-    L.atomically (fun () ->
-        L.write v (L.read v + 10);
-        L.read v)
-  in
-  Alcotest.(check int) "reads own write" 11 r;
-  Alcotest.(check int) "committed" 11 (L.read v);
-  Alcotest.check_raises "write outside transaction"
-    (Invalid_argument "Stm_lock.write outside a transaction") (fun () ->
-      L.write v 0)
+let test_lock_stm_basic =
+  with_glock (fun () ->
+      let v = Stm.tvar 1 in
+      let r =
+        Stm.atomically (fun () ->
+            Stm.write v (Stm.read v + 10);
+            Stm.read v)
+      in
+      Alcotest.(check int) "reads own write" 11 r;
+      Alcotest.(check int) "committed" 11 (Stm.read v);
+      Alcotest.check_raises "write outside transaction"
+        (Invalid_argument "Stm.write outside a transaction") (fun () ->
+          Stm.write v 0))
 
-let test_lock_stm_every_txn_commits () =
-  let before = L.commits () in
-  let v = L.tvar 0 in
-  for _ = 1 to 50 do
-    L.atomically (fun () -> L.write v (L.read v + 1))
-  done;
-  Alcotest.(check int) "fifty increments" 50 (L.read v);
-  Alcotest.(check bool) "every transaction commits (no aborts exist)" true
-    (L.commits () - before >= 50)
+let test_lock_stm_every_txn_commits =
+  with_glock (fun () ->
+      let c0, a0 = Stm.stats () in
+      let v = Stm.tvar 0 in
+      for _ = 1 to 50 do
+        Stm.atomically (fun () -> Stm.write v (Stm.read v + 1))
+      done;
+      let c1, a1 = Stm.stats () in
+      Alcotest.(check int) "fifty increments" 50 (Stm.read v);
+      Alcotest.(check int) "fifty commits" 50 (c1 - c0);
+      Alcotest.(check int) "no aborts" 0 (a1 - a0))
 
-let test_lock_stm_parallel_counter () =
-  let v = L.tvar 0 in
-  let iters = 3000 in
-  spawn_all
-    (List.init ndomains (fun _ () ->
-         for _ = 1 to iters do
-           L.atomically (fun () -> L.write v (L.read v + 1))
-         done));
-  Alcotest.(check int) "no lost updates" (ndomains * iters) (L.read v)
+let test_lock_stm_parallel_counter =
+  with_glock (fun () ->
+      let v = Stm.tvar 0 in
+      let iters = 3000 in
+      spawn_all
+        (List.init ndomains (fun _ () ->
+             for _ = 1 to iters do
+               Stm.atomically (fun () -> Stm.write v (Stm.read v + 1))
+             done));
+      Alcotest.(check int) "no lost updates" (ndomains * iters) (Stm.read v))
 
 let test_stats_move () =
   let before_c, _ = Stm.stats () in
@@ -848,6 +853,224 @@ let test_algo_tables_hygienic =
       && stable Stm.Algo.chaos_points
       && stable Stm.Algo.blame_causes)
 
+(* ------------------------------------------------------------------ *)
+(* The allocation-free hot path: post-commit chaos, words per
+   transaction, the per-domain logs. *)
+
+(* Named regression: a chaos [Abort] at [Post_commit] arrives after the
+   writes are published.  It must proceed, not re-run the committed
+   body — once, or for a handler that aborts there forever. *)
+let post_commit_abort a () =
+  Stm.with_algo a (fun () ->
+      let name = Stm.Algo.name a in
+      let run ~always =
+        let v = Stm.tvar 0 in
+        let fired = Atomic.make 0 in
+        Stm.Chaos.install (fun p ->
+            match p with
+            | Stm.Chaos.Post_commit ->
+                if Atomic.fetch_and_add fired 1 = 0 || always then
+                  Stm.Chaos.Abort
+                else Stm.Chaos.Proceed
+            | _ -> Stm.Chaos.Proceed);
+        Fun.protect ~finally:Stm.Chaos.uninstall (fun () ->
+            Stm.atomically (fun () -> Stm.write v (Stm.read v + 1)));
+        Alcotest.(check int) (name ^ ": post-commit point reached once") 1
+          (Atomic.get fired);
+        Alcotest.(check int) (name ^ ": one increment applied once") 1
+          (Stm.read v)
+      in
+      run ~always:false;
+      run ~always:true)
+
+(* Minor-heap words one transaction allocates on one domain, after
+   warm-up has grown the per-domain logs.  Deterministic, so a hard
+   gate. *)
+let words_per_txn f =
+  for _ = 1 to 1_000 do
+    f ()
+  done;
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let txn_shapes () =
+  let tv = Array.init 4 (fun i -> Stm.tvar i) in
+  let empty_body () = () in
+  let read4 () =
+    Stm.read tv.(0) + Stm.read tv.(1) + Stm.read tv.(2) + Stm.read tv.(3)
+  in
+  let rw4 () =
+    for i = 0 to 3 do
+      Stm.write tv.(i) (Stm.read tv.(i) + 1)
+    done
+  in
+  ( (fun () -> Stm.atomically empty_body),
+    (fun () -> ignore (Stm.atomically read4)),
+    fun () -> Stm.atomically rw4 )
+
+let check_words label bound w =
+  if w > bound then
+    Alcotest.failf "%s: %.1f words per transaction, bound %.0f" label w bound
+
+(* tl2 bounds are absolute; the serialized cores must stay at or below
+   half of their closure-based write sets (271 and 340 words for
+   read+write on 4 t-variables). *)
+let test_words_gate () =
+  Stm.with_algo Stm.Algo.Tl2 (fun () ->
+      let empty, read4, rw4 = txn_shapes () in
+      check_words "tl2 empty" 8. (words_per_txn empty);
+      check_words "tl2 read-only, 4 reads" 16. (words_per_txn read4);
+      check_words "tl2 read+write, 4 tvars" 32. (words_per_txn rw4));
+  List.iter
+    (fun (a, bound) ->
+      Stm.with_algo a (fun () ->
+          let _, _, rw4 = txn_shapes () in
+          check_words
+            (Stm.Algo.name a ^ " read+write, 4 tvars")
+            bound (words_per_txn rw4)))
+    [ (Stm.Algo.Global_lock, 271. /. 2.); (Stm.Algo.Norec, 340. /. 2.) ]
+
+(* Differential test of the write-back cores' logs against a sequential
+   array.  A program is a list of transactions over [n] t-variables
+   (1..200: past the initial log capacity and the filter width); each
+   transaction is a list of reads and writes with repeated writes,
+   read-own-write after an overwrite, and pairs of t-variables whose
+   consecutive ids lie [filter_width] apart, i.e. collide in the filter.
+   A transaction either commits, raises (nothing survives), or first
+   runs once with junk values and ends in [Retry] or [Conflict] — the
+   re-run on the same per-domain log must see none of the junk. *)
+type log_op = R of int | W of int * int
+
+type ending = Commit | Raise | Retry_first | Conflict_first
+
+let filter_width = Tm_stm.Stm_core.Wlog.filter_width
+
+let gen_program =
+  let open QCheck2.Gen in
+  let* n = int_range 1 200 in
+  let idx = int_bound (n - 1) in
+  let op =
+    frequency
+      [
+        (3, map (fun i -> [ R i ]) idx);
+        (3, map2 (fun i v -> [ W (i, v) ]) idx (int_bound 99));
+        ( 2,
+          map3
+            (fun i v v' -> [ W (i, v); W (i, v'); R i; W (i, v + v'); R i ])
+            idx (int_bound 99) (int_bound 99) );
+        ( 2,
+          map2
+            (fun i v ->
+              let j = (i + filter_width) mod n in
+              [ W (i, v); R j; W (j, v + 1); R i; R j ])
+            idx (int_bound 99) );
+      ]
+  in
+  let txn =
+    pair
+      (frequencyl
+         [ (4, Commit); (1, Raise); (1, Retry_first); (1, Conflict_first) ])
+      (map List.concat (list_size (int_range 0 12) op))
+  in
+  pair (return n) (list_size (int_range 1 15) txn)
+
+let print_program (n, txns) =
+  Fmt.str "%d tvars, %d transactions: %s" n (List.length txns)
+    (String.concat " | "
+       (List.map
+          (fun (e, ops) ->
+            Fmt.str "%s[%s]"
+              (match e with
+              | Commit -> "commit"
+              | Raise -> "raise"
+              | Retry_first -> "retry"
+              | Conflict_first -> "conflict")
+              (String.concat ";"
+                 (List.map
+                    (function
+                      | R i -> Fmt.str "r%d" i | W (i, v) -> Fmt.str "w%d=%d" i v)
+                    ops)))
+          txns))
+
+let logs_match_model a =
+  QCheck2.Test.make ~count:150
+    ~name:(Stm.Algo.name a ^ ": logs agree with a sequential array")
+    ~print:print_program gen_program (fun (n, txns) ->
+      Stm.with_algo a (fun () ->
+          let tvars = Array.init n (fun _ -> Stm.tvar 0) in
+          let model = Array.make n 0 in
+          let run_ops local ops ~junk =
+            List.iter
+              (function
+                | R i ->
+                    let got = Stm.read tvars.(i) in
+                    if got <> local.(i) then
+                      failwith
+                        (Fmt.str "read t%d: got %d, expected %d" i got
+                           local.(i))
+                | W (i, v) ->
+                    let v = v + junk in
+                    Stm.write tvars.(i) v;
+                    local.(i) <- v)
+              ops
+          in
+          List.iter
+            (fun (ending, ops) ->
+              let attempts = ref 0 in
+              let body () =
+                incr attempts;
+                let local = Array.copy model in
+                match ending with
+                | (Retry_first | Conflict_first) when !attempts = 1 ->
+                    run_ops local ops ~junk:1000;
+                    if ending = Retry_first then Stm.retry ()
+                    else raise Tm_stm.Stm_core.Conflict
+                | Raise ->
+                    run_ops local ops ~junk:0;
+                    raise Exit
+                | _ ->
+                    run_ops local ops ~junk:0;
+                    local
+              in
+              match Stm.atomically body with
+              | local -> Array.blit local 0 model 0 n
+              | exception Exit -> ())
+            txns;
+          Array.for_all2 (fun tv m -> Stm.read tv = m) tvars model))
+
+(* A value a transaction wrote, read or buffered must be collectable
+   once the transaction has ended and nothing else refers to it: the
+   per-domain logs reuse their slots but must not pin the values they
+   held. *)
+let test_logs_release_values a () =
+  Stm.with_algo a (fun () ->
+      let name = Stm.Algo.name a in
+      let collected = Atomic.make 0 in
+      let big () =
+        let b = Array.make 10_000 0 in
+        Gc.finalise (fun _ -> Atomic.incr collected) b;
+        b
+      in
+      let tv = Stm.tvar [||] in
+      (* committed, then read by a later transaction, then overwritten *)
+      Stm.atomically (fun () -> Stm.write tv (big ()));
+      ignore (Stm.atomically (fun () -> Array.length (Stm.read tv)));
+      Stm.atomically (fun () -> Stm.write tv [||]);
+      (* buffered by an aborted attempt *)
+      (try
+         Stm.atomically (fun () ->
+             Stm.write tv (big ());
+             raise Exit)
+       with Exit -> ());
+      Gc.full_major ();
+      Gc.full_major ();
+      Alcotest.(check int) (name ^ ": both large values collected") 2
+        (Atomic.get collected))
+
 let () =
   Alcotest.run "tm_stm"
     [
@@ -925,6 +1148,28 @@ let () =
             (blame_causes_truthful Stm.Algo.Dstm);
           Alcotest.test_case "norec causes truthful" `Slow
             (blame_causes_truthful Stm.Algo.Norec);
+        ] );
+      ( "hot path",
+        [
+          Alcotest.test_case "words per transaction gate" `Quick
+            test_words_gate;
+          Alcotest.test_case "tl2 post-commit abort proceeds" `Quick
+            (post_commit_abort Stm.Algo.Tl2);
+          Alcotest.test_case "global-lock post-commit abort proceeds" `Quick
+            (post_commit_abort Stm.Algo.Global_lock);
+          Alcotest.test_case "dstm post-commit abort proceeds" `Quick
+            (post_commit_abort Stm.Algo.Dstm);
+          Alcotest.test_case "norec post-commit abort proceeds" `Quick
+            (post_commit_abort Stm.Algo.Norec);
+          QCheck_alcotest.to_alcotest (logs_match_model Stm.Algo.Tl2);
+          QCheck_alcotest.to_alcotest (logs_match_model Stm.Algo.Global_lock);
+          QCheck_alcotest.to_alcotest (logs_match_model Stm.Algo.Norec);
+          Alcotest.test_case "tl2 logs release values" `Quick
+            (test_logs_release_values Stm.Algo.Tl2);
+          Alcotest.test_case "global-lock logs release values" `Quick
+            (test_logs_release_values Stm.Algo.Global_lock);
+          Alcotest.test_case "norec logs release values" `Quick
+            (test_logs_release_values Stm.Algo.Norec);
         ] );
       ( "multicore stress",
         [
