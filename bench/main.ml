@@ -1906,6 +1906,9 @@ let p12_serve () =
   and naive = at ~algo:Stm.Algo.Tl2 ~batching:false ~domains:peak in
   let batching_holds = batched.Server.s_aborts <= naive.Server.s_aborts in
   let cores = Domain.recommended_domain_count () in
+  (* Below 4 cores the gate cannot run: the document says so and
+     records no verdict. *)
+  let batching_measured = cores >= 4 in
   (* (d) Chaos against the serving path. *)
   let chaos_ok algo =
     match
@@ -1918,7 +1921,8 @@ let p12_serve () =
           Server.config ~algo ~clients:64 ~ops:4 ~keys:64 ~stripes:4
             ~profile:Workload.Write_heavy ~seed:42 ~domains:4 ()
         in
-        (Server.chaos_run plan cfg).Server.k_ok
+        (Tm_chaos.Runner.run ~workload:(Server.chaos_workload cfg) plan)
+          .Tm_chaos.Runner.o_ok
   in
   let chaos = List.map (fun a -> (a, chaos_ok a)) Stm.Algo.all in
   List.iter
@@ -1944,7 +1948,7 @@ let p12_serve () =
        \"spec_conformance\":{\"holds\":%b},\"batching\":{\
        \"algo\":\"tl2\",\"at_domains\":%d,\"batched_aborts\":%d,\
        \"naive_aborts\":%d,\
-       \"batched_kadm_s\":%.1f,\"naive_kadm_s\":%.1f,\"holds\":%b},\
+       \"batched_kadm_s\":%.1f,\"naive_kadm_s\":%.1f,%s},\
        \"chaos\":[%s]}"
       cores
       (String.concat "," (List.map string_of_int ladder))
@@ -1962,7 +1966,10 @@ let p12_serve () =
                 o.Server.s_flushes)
             runs))
       (String.equal j1 j2) conforms peak batched.Server.s_aborts
-      naive.Server.s_aborts (kadm batched) (kadm naive) batching_holds
+      naive.Server.s_aborts (kadm batched) (kadm naive)
+      (if batching_measured then
+         Fmt.str "\"measured\":true,\"holds\":%b" batching_holds
+       else "\"measured\":false")
       (String.concat ","
          (List.map
             (fun (algo, ok) ->
@@ -1973,7 +1980,7 @@ let p12_serve () =
   output_char oc '\n';
   close_out oc;
   Fmt.pr "    trajectory written to %s@." out;
-  if cores >= 4 then
+  if batching_measured then
     check
       (Fmt.str
          "flat-combining beats naive on conflict work at %d domains \
@@ -2041,8 +2048,9 @@ let p13_loadcurve () =
             ~keys:64 ~stripes:4 ~profile:Workload.Write_heavy ~seed:42
             ~domains:4 ()
         in
-        Server.with_chaos_session ~latency:true plan ccfg (fun ses ->
-            let r = Option.get (Server.session_latency ses) in
+        Tm_chaos.Runner.with_session ~latency:true
+          ~workload:(Server.chaos_workload ccfg) plan (fun ses ->
+            let r = Option.get (Tm_chaos.Runner.session_latency ses) in
             (* Crash onset is a few hundred ops in (microseconds); after
                the warmup the whole peer set is stranded. *)
             Unix.sleepf 0.08;

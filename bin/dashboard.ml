@@ -17,12 +17,10 @@ let dom d = [ ("domain", string_of_int d) ]
 let num snap name d =
   Option.value ~default:0 (Tel.Registry.sample_num snap ~name ~labels:(dom d))
 
-(* Both session flavours register the same counter suffixes under their
-   own prefix: "tm_chaos" for `top`, "tm_serve" for `top --serve`. *)
-let aborts_of ~prefix snap d =
+let aborts_of snap d =
   max 0
-    (num snap (prefix ^ "_attempts_total") d
-    - num snap (prefix ^ "_commits_total") d)
+    (num snap "tm_chaos_attempts_total" d
+    - num snap "tm_chaos_commits_total" d)
 
 (* Latencies are nanoseconds; pick the unit that keeps 3 digits. *)
 let pp_ns ppf ns =
@@ -80,8 +78,8 @@ let render_blame g =
    [observe] refreshes via [Latency_recorder.publish] each frame.
    Sessions opened without the recorder simply have no such series and
    the panel stays hidden. *)
-let render_latency ~prefix ~nd snap =
-  let m = prefix ^ "_lat" in
+let render_latency ~nd snap =
+  let m = "tm_chaos_lat" in
   match
     Tel.Registry.sample_hist snap ~name:(m ^ "_sojourn_ns") ~labels:[]
   with
@@ -108,39 +106,38 @@ let render_latency ~prefix ~nd snap =
       done;
       Fmt.pr "@."
 
-let render ~plain ~prefix ~title ~plan ~frame ~frames ~period ~prev ~blame
-    snap =
+let render ~plain ~workload ~plan ~frame ~frames ~period ~prev ~blame snap =
   if not plain then print_string "\027[2J\027[H";
   let nd = plan.Plan.domains in
   let rate cur pre = float (max 0 (cur - pre)) /. period in
   let dsnap name d = num snap name d in
   let dprev name d = match prev with Some p -> num p name d | None -> 0 in
   Fmt.pr
-    "tmlive top — %s %s algo=%s seed=%d domains=%d    frame %d/%d  ts=%dms@."
-    title plan.Plan.scenario
+    "tmlive top — chaos %s workload=%s algo=%s seed=%d domains=%d    frame \
+     %d/%d  ts=%dms@."
+    plan.Plan.scenario workload
     (Tm_stm.Stm.Algo.name plan.Plan.algo)
     plan.Plan.seed nd frame frames snap.Tel.Registry.ts;
   Fmt.pr "@.%-7s %-22s %10s %10s %8s %8s %-12s@." "domain" "fault" "commit/s"
     "abort/s" "commits" "faults" "class";
   for d = 0 to nd - 1 do
-    let commits = dsnap (prefix ^ "_commits_total") d in
+    let commits = dsnap "tm_chaos_commits_total" d in
     let cls =
       Option.value ~default:"?"
         (Tel.Registry.sample_state snap ~name:"tm_liveness_class"
            ~labels:(dom d))
     in
     let crashed =
-      Tel.Registry.sample_num snap ~name:(prefix ^ "_crashed") ~labels:(dom d)
+      Tel.Registry.sample_num snap ~name:"tm_chaos_crashed" ~labels:(dom d)
       = Some 1
     in
     Fmt.pr "%-7d %-22s %10.0f %10.0f %8d %8d %-12s@." d
       (Plan.fault_label plan.Plan.faults.(d))
-      (rate commits (dprev (prefix ^ "_commits_total") d))
-      (rate
-         (aborts_of ~prefix snap d)
-         (match prev with Some p -> aborts_of ~prefix p d | None -> 0))
+      (rate commits (dprev "tm_chaos_commits_total" d))
+      (rate (aborts_of snap d)
+         (match prev with Some p -> aborts_of p d | None -> 0))
       commits
-      (dsnap (prefix ^ "_injected_total") d)
+      (dsnap "tm_chaos_injected_total" d)
       (cls ^ if crashed then " [dead]" else "")
   done;
   Fmt.pr "@.STM phase latencies (since start):@.";
@@ -159,16 +156,14 @@ let render ~plain ~prefix ~title ~plan ~frame ~frames ~period ~prev ~blame
               h.Tel.Instrument.count (q 0.50) (q 0.90) (q 0.99)
               (Fmt.str "%a" pp_ns h.Tel.Instrument.max_sample))
     phase_rows;
-  render_latency ~prefix ~nd snap;
+  render_latency ~nd snap;
   (match blame with Some g -> render_blame g | None -> ());
   Fmt.pr "%!"
 
-(* The shared observation loop: sleep, advance the liveness gauge,
-   scrape on the wall-ms clock, export, render.  Both session flavours
-   differ only in how the session is opened and which metric prefix
-   their counters carry. *)
-let observe ~prefix ~title ~plan ~period ~frames ~plain ~tel ~tty ~reg
-    ~liveness ~blame ~latency =
+(* The observation loop: sleep, advance the liveness gauge, scrape on
+   the wall-ms clock, export, render. *)
+let observe ~workload ~plan ~period ~frames ~plain ~tel ~tty ~reg ~liveness
+    ~blame ~latency =
   let t0 = Unix.gettimeofday () in
   let prev = ref None in
   for frame = 1 to frames do
@@ -183,8 +178,8 @@ let observe ~prefix ~title ~plan ~period ~frames ~plain ~tel ~tty ~reg
     let snap = Tel.Registry.scrape reg ~ts in
     (match tel with Some (add, _) -> add snap | None -> ());
     if tty || frame = frames then
-      render ~plain ~prefix ~title ~plan ~frame ~frames ~period ~prev:!prev
-        ~blame snap;
+      render ~plain ~workload ~plan ~frame ~frames ~period ~prev:!prev ~blame
+        snap;
     prev := Some snap
   done
 
@@ -207,7 +202,7 @@ let with_display ~plain ~telemetry ~telemetry_format f =
     (fun () -> f ~tel ~tty ~plain ~reg);
   match tel with Some (_, flush) -> flush () | None -> ()
 
-let run ~algo ~scenario ~seed ~domains ~tvars ~period ~frames ~plain
+let run ~workload ~algo ~scenario ~seed ~domains ~period ~frames ~plain
     ~telemetry ~telemetry_format =
   match Plan.make ~algo ~scenario ~seed ~domains () with
   | Error m ->
@@ -216,33 +211,10 @@ let run ~algo ~scenario ~seed ~domains ~tvars ~period ~frames ~plain
   | Ok plan ->
       with_display ~plain ~telemetry ~telemetry_format
         (fun ~tel ~tty ~plain ~reg ->
-          Runner.with_session ~tvars ~blame:true ~latency:true ~registry:reg
-            plan (fun ses ->
-              observe ~prefix:"tm_chaos" ~title:"chaos" ~plan ~period ~frames
+          Runner.with_session ~workload ~blame:true ~latency:true
+            ~registry:reg plan (fun ses ->
+              observe ~workload:workload.Runner.w_name ~plan ~period ~frames
                 ~plain ~tel ~tty ~reg
                 ~liveness:(Runner.session_liveness ses)
                 ~blame:(Runner.session_blame ses)
                 ~latency:(Runner.session_latency ses)))
-
-let run_serve ~algo ~profile ~scenario ~seed ~domains ~period ~frames ~plain
-    ~telemetry ~telemetry_format =
-  match Plan.make ~algo ~scenario ~seed ~domains () with
-  | Error m ->
-      Fmt.epr "error: %s@." m;
-      exit 2
-  | Ok plan ->
-      let cfg =
-        Tm_serve.Server.config ~algo ~profile ~seed ~domains ()
-      in
-      let title =
-        Fmt.str "serve[%s]" (Tm_serve.Workload.profile_name profile)
-      in
-      with_display ~plain ~telemetry ~telemetry_format
-        (fun ~tel ~tty ~plain ~reg ->
-          Tm_serve.Server.with_chaos_session ~blame:true ~latency:true
-            ~registry:reg plan cfg (fun ses ->
-              observe ~prefix:"tm_serve" ~title ~plan ~period ~frames ~plain
-                ~tel ~tty ~reg
-                ~liveness:(Tm_serve.Server.session_liveness ses)
-                ~blame:(Tm_serve.Server.session_blame ses)
-                ~latency:(Tm_serve.Server.session_latency ses)))

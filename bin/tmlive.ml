@@ -1012,7 +1012,11 @@ let chaos_cmd =
           let on_sample, tel_flush =
             telemetry_setup telemetry telemetry_format
           in
-          let o = Tm_chaos.Runner.run ~tvars ~warmup ~window ?on_sample plan in
+          let o =
+            Tm_chaos.Runner.run
+              ~workload:(Tm_chaos.Runner.hot_set ~tvars)
+              ~warmup ~window ?on_sample plan
+          in
           (match format with
           | `Table -> Fmt.pr "%a" Tm_chaos.Runner.pp_table o
           | `Json -> Fmt.pr "%s@." (Tm_chaos.Runner.to_json o));
@@ -1199,8 +1203,9 @@ let blame_cmd =
     | Ok plan -> (
         let on_sample, tel_flush = telemetry_setup telemetry telemetry_format in
         let o =
-          Tm_chaos.Runner.run ~blame:true ~tvars ~warmup ~window ?on_sample
-            plan
+          Tm_chaos.Runner.run
+            ~workload:(Tm_chaos.Runner.hot_set ~tvars)
+            ~blame:true ~warmup ~window ?on_sample plan
         in
         match o.Tm_chaos.Runner.o_blame with
         | None -> Fmt.epr "error: blame graph missing@."; exit 2
@@ -1310,12 +1315,14 @@ let blame_cmd =
 let top_cmd =
   let run algo scenario seed domains tvars period frames plain serve profile
       telemetry telemetry_format =
-    if serve then
-      Dashboard.run_serve ~algo ~profile ~scenario ~seed ~domains ~period
-        ~frames ~plain ~telemetry ~telemetry_format
-    else
-      Dashboard.run ~algo ~scenario ~seed ~domains ~tvars ~period ~frames
-        ~plain ~telemetry ~telemetry_format
+    let workload =
+      if serve then
+        Tm_serve.Server.chaos_workload
+          (Tm_serve.Server.config ~algo ~profile ~seed ~domains ())
+      else Tm_chaos.Runner.hot_set ~tvars
+    in
+    Dashboard.run ~workload ~algo ~scenario ~seed ~domains ~period ~frames
+      ~plain ~telemetry ~telemetry_format
   in
   let scenario = scenario_arg () in
   let seed = seed_arg () in
@@ -1326,8 +1333,8 @@ let top_cmd =
       value & flag
       & info [ "serve" ]
           ~doc:
-            "Observe a tmserve serving session instead of the bare chaos \
-             workers: per-domain executors run the $(b,--profile) \
+            "Run the serving path as the chaos workload instead of the \
+             shared hot set: per-domain executors run the $(b,--profile) \
              population over the sharded store while the scenario's \
              faults are injected into the serving path.")
   in
@@ -1423,20 +1430,23 @@ let serve_cmd =
               Fmt.epr "error: %s@." m;
               exit 2
           | Ok plan ->
-              let o = Serve.chaos_run ~warmup ~window ?on_sample plan cfg in
+              let o =
+                Tm_chaos.Runner.run ~workload:(Serve.chaos_workload cfg)
+                  ~warmup ~window ?on_sample plan
+              in
               (match format with
-              | `Table -> Fmt.pr "%a@." Serve.pp_chaos_table o
-              | `Json -> Fmt.pr "%s@." (Serve.chaos_to_json o));
+              | `Table -> Fmt.pr "%a@." Tm_chaos.Runner.pp_table o
+              | `Json -> Fmt.pr "%s@." (Tm_chaos.Runner.to_json o));
               tel_flush ();
               (match out with
               | None -> ()
               | Some file ->
                   let oc = open_out file in
-                  output_string oc (Serve.chaos_to_json o);
+                  output_string oc (Tm_chaos.Runner.to_json o);
                   output_char oc '\n';
                   close_out oc;
                   Fmt.epr "verdicts written to %s@." file);
-              exit (if o.Serve.k_ok then 0 else 1))
+              exit (if o.Tm_chaos.Runner.o_ok then 0 else 1))
       | None ->
           let o = Serve.run ?on_sample cfg in
           (* Canonical JSON on stdout (byte-deterministic), the measured
@@ -1522,8 +1532,11 @@ let serve_cmd =
       & info [ "scenario" ] ~docv:"NAME"
           ~doc:
             "Run a chaos scenario against the serving path instead of a \
-             fixed-quota profile run (see $(b,chaos --list)); exits 1 on \
-             any Figure-2 verdict mismatch.")
+             fixed-quota profile run (see $(b,chaos --list)): the chaos \
+             runner drives the $(b,--profile) executors as its workload \
+             and prints its verdict document, which names the workload \
+             ($(b,serve[PROFILE])); exits 1 on any Figure-2 verdict \
+             mismatch.")
   in
   let arrival = arrival_arg () in
   let rate = rate_arg () in

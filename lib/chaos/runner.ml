@@ -25,6 +25,7 @@ type session = {
   ses_crashed : Tel.Instrument.gauge array;
   ses_parasite_on : bool Atomic.t array;
       (* set by a parasitic worker when its takeover begins *)
+  ses_crasher : int option;  (* the plan's first crashing slot *)
   ses_latency : Tel.Latency_recorder.t option;
 }
 
@@ -66,6 +67,7 @@ let report_ok r = Pc.equal_cls r.rep_observed r.rep_expected
 
 type outcome = {
   o_plan : Plan.t;
+  o_workload : string;
   o_reports : report list;
   o_ok : bool;
   o_events : Tev.t list;
@@ -120,25 +122,36 @@ let handler point =
           Tel.Instrument.incr st.ds_injected);
       action
 
-(* The fault dispatch is reusable by any harness that drives real
-   domains against an [Stm.Chaos]-instrumented core (tm_serve's chaos
-   serving sessions): bind the domain's fault and counters in DLS, then
-   install [fault_handler]. *)
-let fault_handler = handler
-
-let bind_fault fault ~ops ~injected =
-  Domain.DLS.get dls :=
-    Some { ds_fault = fault; ds_ops = ops; ds_injected = injected }
-
-let unbind_fault () = Domain.DLS.get dls := None
-
 exception Stop_worker
 
-(* Worker transactions all write t-variable 0 (plus one other), so every
-   pair of domains conflicts: a crashed lock holder necessarily strands
-   the whole peer set.  A parasitic turn spins forever on [mine], a
-   t-variable nobody writes — active forever, never conflicting, never
-   reaching tryC.
+type workload = {
+  w_name : string;
+  w_make : domains:int -> int -> unit -> unit -> unit;
+}
+
+(* Every transaction writes t-variable 0 (plus one other), so every pair
+   of domains conflicts: a crashed lock holder necessarily strands the
+   whole peer set. *)
+let hot_set ~tvars =
+  let make ~domains:_ =
+    let shared = Array.init (max 2 tvars) (fun _ -> Stm.tvar 0) in
+    let n = Array.length shared in
+    fun d ->
+      let st = ref (d + 1) in
+      fun () ->
+        let r = !st * 48271 mod 0x7FFFFFFF in
+        st := r;
+        let other = 1 + (r mod (n - 1)) in
+        fun () ->
+          let v0 = Stm.read shared.(0) in
+          let vo = Stm.read shared.(other) in
+          Stm.write shared.(0) (v0 + 1);
+          Stm.write shared.(other) (vo + 1)
+  in
+  { w_name = Fmt.str "hot-set[tvars=%d]" (max 2 tvars); w_make = make }
+
+(* A parasitic turn spins forever on [mine], a t-variable nobody
+   writes — active forever, never conflicting, never reaching tryC.
 
    Where the parasitic takeover happens is core-dependent.  Under the
    non-blocking cores it is a fresh transaction whose read set is only
@@ -151,13 +164,14 @@ exception Stop_worker
    against hot committers, with the facade's backoff growing on every
    failure — a race it can lose for whole observation windows.  There
    the takeover happens *inside* a winning transaction: the worker runs
-   its normal body and, once past the onset, simply never reaches tryC
-   — it already holds the serializer, stranding every peer
-   deterministically (prior reads in the set are harmless: the
-   serializer validates nothing). *)
-let worker ~stop ~shared ~mine ~algo ~fault ~parasite_gate ~parasite_on ~ops
+   its workload body (which writes the shared t-variable, so the
+   serializer is held by then) and, once past the onset, simply never
+   reaches tryC — stranding every peer deterministically (prior reads
+   in the set are harmless: the serializer validates nothing). *)
+let worker ~stop ~next ~mine ~algo ~fault ~parasite_gate ~parasite_on ~ops
     ~injected ~attempts ~trycs ~commits ~crashed ~lat d () =
-  bind_fault fault ~ops ~injected;
+  Domain.DLS.get dls :=
+    Some { ds_fault = fault; ds_ops = ops; ds_injected = injected };
   (* Open-loop latency: mark before the transaction, complete after.  A
      body that dies on [Stm.Chaos.Crashed] leaves its mark in place on
      purpose — the dead domain's in-flight age is the censored sample
@@ -177,8 +191,6 @@ let worker ~stop ~shared ~mine ~algo ~fault ~parasite_gate ~parasite_on ~ops
   (* Blame identity: plan slot, not raw Domain.self — unconditional
      (one DLS write per worker lifetime, nothing on the hot path). *)
   Stm.Blame.set_self d;
-  let st = ref (d + 1) in
-  let n = Array.length shared in
   let parasitic_from =
     match fault with Plan.Parasitic { from_op } -> Some from_op | _ -> None
   in
@@ -205,20 +217,15 @@ let worker ~stop ~shared ~mine ~algo ~fault ~parasite_gate ~parasite_on ~ops
              parasite_spin ())
        end
        else begin
-         let r = !st * 48271 mod 0x7FFFFFFF in
-         st := r;
-         let other = 1 + (r mod (n - 1)) in
+         let body = next () in
          let sched = mark () in
          Stm.atomically (fun () ->
              (* Re-run on every attempt: a permanently starving domain
                 still gets to observe the stop flag. *)
              if Atomic.get stop then raise Stop_worker;
              Tel.Instrument.incr attempts;
-             let v0 = Stm.read shared.(0) in
-             let vo = Stm.read shared.(other) in
+             body ();
              if in_body_takeover && parasitic_now () then parasite_spin ();
-             Stm.write shared.(0) (v0 + 1);
-             Stm.write shared.(other) (vo + 1);
              Tel.Instrument.incr trycs);
          Tel.Instrument.incr commits;
          complete sched
@@ -228,13 +235,16 @@ let worker ~stop ~shared ~mine ~algo ~fault ~parasite_gate ~parasite_on ~ops
   | Stop_worker -> ()
   | Stm.Chaos.Crashed -> Tel.Instrument.set_gauge crashed 1);
   Stm.Blame.set_self (-1);
-  unbind_fault ()
+  Domain.DLS.get dls := None
+
+let crash_landed ses =
+  match ses.ses_crasher with None -> true | Some cd -> session_crashed ses cd
 
 let counters_of (s : sample) =
   Emp.counters ~ops:s.ops ~trycs:s.trycs ~commits:s.commits ~aborts:s.aborts
 
-let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
-    (plan : Plan.t) f =
+let with_session ?(workload = hot_set ~tvars:4) ?(blame = false)
+    ?(latency = false) ?registry (plan : Plan.t) f =
   let nd = plan.Plan.domains in
   let reg =
     match registry with Some r -> r | None -> Tel.Registry.create ()
@@ -289,6 +299,11 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
     else None
   in
   let parasite_on = Array.init nd (fun _ -> Atomic.make false) in
+  let crasher =
+    Array.find_index
+      (function Plan.Crash _ -> true | _ -> false)
+      plan.Plan.faults
+  in
   let ses =
     {
       ses_plan = plan;
@@ -302,6 +317,7 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
       ses_injected = injected;
       ses_crashed = crashed;
       ses_parasite_on = parasite_on;
+      ses_crasher = crasher;
       ses_latency = lat;
     }
   in
@@ -310,7 +326,7 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
      previous selection only after the workers are joined. *)
   let prev_algo = Stm.algo () in
   Stm.set_algo plan.Plan.algo;
-  let shared = Array.init (max 2 tvars) (fun _ -> Stm.tvar 0) in
+  let slot = workload.w_make ~domains:nd in
   let priv = Array.init nd (fun _ -> Stm.tvar 0) in
   let stop = Atomic.make false in
   (* In scenarios that combine a crasher with a parasite, the parasite's
@@ -320,16 +336,7 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
      — under the serializer the eventual winner's clock outruns a
      starving peer's arbitrarily.  With no crasher in the plan the gate
      is always open. *)
-  let parasite_gate =
-    match
-      Array.to_list plan.Plan.faults
-      |> List.mapi (fun d f -> (d, f))
-      |> List.find_map (fun (d, f) ->
-             match f with Plan.Crash _ -> Some d | _ -> None)
-    with
-    | None -> fun () -> true
-    | Some cd -> fun () -> Tel.Instrument.gauge_value crashed.(cd) = 1
-  in
+  let parasite_gate () = crash_landed ses in
   Stm.Chaos.install handler;
   Option.iter
     (fun g -> Stm.Blame.install (Tel.Blame_graph.sink_of g))
@@ -349,8 +356,8 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
       let ds =
         List.init nd (fun d ->
             Domain.spawn
-              (worker ~stop ~shared ~mine:priv.(d) ~algo:plan.Plan.algo
-                 ~fault:plan.Plan.faults.(d) ~parasite_gate
+              (worker ~stop ~next:(slot d) ~mine:priv.(d)
+                 ~algo:plan.Plan.algo ~fault:plan.Plan.faults.(d) ~parasite_gate
                  ~parasite_on:parasite_on.(d) ~ops:ops.(d)
                  ~injected:injected.(d) ~attempts:attempts.(d)
                  ~trycs:trycs.(d) ~commits:commits.(d) ~crashed:crashed.(d)
@@ -379,12 +386,20 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
    taken over.  Stalls and abort storms run on the op clock from the
    start and need no wait.
 
+   A live domain the machine kept off-core for most of the window can
+   misread: with no op it reads as crashed, with a handful of ops and
+   no commit as starving.  So the last sample also waits until every
+   domain the plan does not crash has ticked [min_window_ops] times in
+   the window.  Starving peers still tick (every abort fires
+   interception points), so the wait does not hide a starvation.
+
    Blame runs classify starving domains from the events they witnessed
    in the window, and a victim below [Blame_graph.min_events] reads as
    quiet.  A victim spinning out a long wait budget per event on a
    loaded machine can fall short in a fixed window, so the last sample
    waits until every domain starving so far has witnessed that many. *)
 let wait_budget = 1.0
+let min_window_ops = 16
 
 let wait_while busy =
   let deadline = Unix.gettimeofday () +. wait_budget in
@@ -394,14 +409,30 @@ let wait_while busy =
 
 let domains_of ses = List.init ses.ses_plan.Plan.domains Fun.id
 
+(* Under the serializer, a parasite gated on a crash can never take
+   over: the crash strands the serializer its in-body takeover needs.
+   The plan expects that parasite to starve, which it does from the
+   moment the crash lands. *)
 let fault_landed ses d =
   match ses.ses_plan.Plan.faults.(d) with
   | Plan.Crash _ -> session_crashed ses d
-  | Plan.Parasitic _ -> Atomic.get ses.ses_parasite_on.(d)
+  | Plan.Parasitic _ ->
+      Atomic.get ses.ses_parasite_on.(d)
+      || (ses.ses_plan.Plan.algo = Stm.Algo.Global_lock
+         && ses.ses_crasher <> None && crash_landed ses)
   | Plan.Healthy | Plan.Stall _ | Plan.Abort_storm _ -> true
 
 let onsets_pending ses () =
   not (List.for_all (fault_landed ses) (domains_of ses))
+
+let ops_short ses first () =
+  List.exists
+    (fun d ->
+      (match ses.ses_plan.Plan.faults.(d) with
+      | Plan.Crash _ -> false
+      | _ -> true)
+      && (sample ses d).ops - first.(d).ops < min_window_ops)
+    (domains_of ses)
 
 let witnesses_short ses first g () =
   List.exists
@@ -413,8 +444,8 @@ let witnesses_short ses first g () =
       && Tel.Blame_graph.victim_total g d < Tel.Blame_graph.min_events)
     (domains_of ses)
 
-let run ?tvars ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
-    ?on_sample (plan : Plan.t) =
+let run ?(workload = hot_set ~tvars:4) ?blame ?latency ?(warmup = 0.05)
+    ?(window = 0.15) ?registry ?on_sample (plan : Plan.t) =
   let nd = plan.Plan.domains in
   let scrape ses ts =
     match on_sample with
@@ -429,7 +460,7 @@ let run ?tvars ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
     | None -> ()
   in
   let first, last, ses =
-    with_session ?tvars ?blame ?latency ?registry plan (fun ses ->
+    with_session ~workload ?blame ?latency ?registry plan (fun ses ->
         Unix.sleepf warmup;
         wait_while (onsets_pending ses);
         Option.iter Tel.Blame_graph.mark_window ses.ses_blame;
@@ -440,6 +471,7 @@ let run ?tvars ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
           (Array.map counters_of first);
         scrape ses 0;
         Unix.sleepf window;
+        wait_while (ops_short ses first);
         Option.iter
           (fun g -> wait_while (witnesses_short ses first g))
           ses.ses_blame;
@@ -504,6 +536,7 @@ let run ?tvars ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
   in
   {
     o_plan = plan;
+    o_workload = workload.w_name;
     o_reports = reports;
     o_ok = List.for_all report_ok reports;
     o_events = Plan.trace_events plan @ verdicts @ blame_events;
@@ -528,8 +561,8 @@ let pp_report ppf r =
     (if r.rep_crashed then " [crashed]" else "")
 
 let pp_table ppf o =
-  Fmt.pf ppf "@[<v>chaos %s algo=%s seed=%d domains=%d@,"
-    o.o_plan.Plan.scenario
+  Fmt.pf ppf "@[<v>chaos %s workload=%s algo=%s seed=%d domains=%d@,"
+    o.o_plan.Plan.scenario o.o_workload
     (Stm.Algo.name o.o_plan.Plan.algo)
     o.o_plan.Plan.seed o.o_plan.Plan.domains;
   List.iter (fun r -> Fmt.pf ppf "%a@," pp_report r) o.o_reports;
@@ -541,8 +574,8 @@ let to_json o =
   let b = Buffer.create 512 in
   Buffer.add_string b
     (Fmt.str
-       "{\"scenario\":%S,\"algo\":%S,\"seed\":%d,\"domains\":%d,\"ok\":%b,\"verdicts\":["
-       o.o_plan.Plan.scenario
+       "{\"scenario\":%S,\"workload\":%S,\"algo\":%S,\"seed\":%d,\"domains\":%d,\"ok\":%b,\"verdicts\":["
+       o.o_plan.Plan.scenario o.o_workload
        (Stm.Algo.name o.o_plan.Plan.algo)
        o.o_plan.Plan.seed o.o_plan.Plan.domains o.o_ok);
   List.iteri

@@ -1,10 +1,9 @@
 (** Execute a fault plan on real domains and classify what happened.
 
-    [run] spawns one worker domain per plan slot on a shared hot set of
-    t-variables (every transaction writes t-variable 0, so a crashed
-    domain holding commit vlocks conflicts with every peer), installs the
-    plan as an [Stm.Chaos] handler, and lets a watchdog on the spawning
-    domain take two samples of each worker's monotone counters.  The
+    [run] spawns one worker domain per plan slot running a {!workload}
+    (by default {!hot_set}), installs the plan as an [Stm.Chaos]
+    handler, and lets a watchdog on the spawning domain take two
+    samples of each worker's monotone counters.  The
     deltas go through {!Tm_liveness.Empirical.classify_counters},
     yielding one Figure-2 verdict per domain, which is compared against
     the plan's expectation.
@@ -59,35 +58,29 @@ val session_injected : session -> int -> int
 (** Faults injected into the domain so far (non-[Proceed] handler
     actions). *)
 
-(** {2 Reusable fault dispatch}
+type workload = {
+  w_name : string;  (** named by {!pp_table} and {!to_json} *)
+  w_make : domains:int -> int -> unit -> unit -> unit;
+      (** [w_make ~domains] runs once the plan's core is selected and
+          builds the workload's shared state.  Applied to a plan slot
+          [d] it gives that slot's generator: each call returns the body
+          of [d]'s next transaction, which the worker runs (and re-runs
+          on abort) inside [Stm.atomically].  Contract: every body
+          writes one t-variable that all slots share, so a crash
+          holding commit locks strands every peer — the premise of the
+          plan's per-algorithm expectations. *)
+}
+(** What the worker domains run.  Everything else — fault dispatch,
+    the parasite's private t-variable and takeover, counters, latency
+    marks, the watchdog and the verdicts — is the runner's. *)
 
-    The plan's fault decisions run on a per-domain operation clock in
-    domain-local state; any harness driving its own worker domains (the
-    tm_serve chaos serving sessions) can reuse them: each worker calls
-    {!bind_fault} with its fault and counters before its first
-    transaction and {!unbind_fault} on the way out, while the harness
-    installs {!fault_handler} as the [Stm.Chaos] handler. *)
-
-val fault_handler : Tm_stm.Stm.Chaos.point -> Tm_stm.Stm.Chaos.action
-(** The plan-driven handler: on a domain with a bound fault it ticks
-    the domain's op clock, decides the action the fault prescribes at
-    that instant, and counts non-[Proceed] decisions into the injected
-    counter; on unbound domains it is a constant [Proceed]. *)
-
-val bind_fault :
-  Plan.fault ->
-  ops:Tm_telemetry.Instrument.counter ->
-  injected:Tm_telemetry.Instrument.counter ->
-  unit
-(** Bind the calling domain's fault identity.  [ops] becomes the
-    domain's operation clock ({!fault_handler} increments it on every
-    interception) and must be single-writer ([~shards:1]). *)
-
-val unbind_fault : unit -> unit
-(** Clear the calling domain's fault identity. *)
+val hot_set : tvars:int -> workload
+(** The default workload ([hot_set ~tvars:4]): a shared array of
+    [max 2 tvars] t-variables; every transaction increments t-variable
+    0 and one other, drawn from a per-slot Lehmer stream. *)
 
 val with_session :
-  ?tvars:int ->
+  ?workload:workload ->
   ?blame:bool ->
   ?latency:bool ->
   ?registry:Tm_telemetry.Registry.t ->
@@ -95,9 +88,10 @@ val with_session :
   (session -> 'a) ->
   'a
 (** [with_session plan f] selects the plan's STM core ([plan.algo],
-    restored after the workers are joined), installs the plan's fault
-    handler, spawns one worker domain per plan slot and applies [f] to
-    the live session; on return (or exception) it stops and joins the
+    restored after the workers are joined), builds the [workload]
+    (default [hot_set ~tvars:4]), installs the plan's fault handler,
+    spawns one worker domain per plan slot and applies [f] to the live
+    session; on return (or exception) it stops and joins the
     workers and uninstalls the handler.  When the plan combines a
     crasher with a parasite (the mixed scenario) the parasite's onset
     additionally waits for the crasher to have died, so the faults land
@@ -135,6 +129,7 @@ val report_ok : report -> bool
 
 type outcome = {
   o_plan : Plan.t;
+  o_workload : string;  (** the workload's [w_name] *)
   o_reports : report list;  (** one per domain, ascending *)
   o_ok : bool;  (** every report is ok *)
   o_events : Tm_trace.Trace_event.t list;
@@ -148,7 +143,7 @@ type outcome = {
 }
 
 val run :
-  ?tvars:int ->
+  ?workload:workload ->
   ?blame:bool ->
   ?latency:bool ->
   ?warmup:float ->
@@ -157,19 +152,25 @@ val run :
   ?on_sample:(Tm_telemetry.Registry.snapshot -> unit) ->
   Plan.t ->
   outcome
-(** [run plan] executes the plan and classifies every domain.  [tvars]
-    sizes the shared hot set (default 4), [warmup] is the settle time in
-    seconds before the first sample (default 0.05 — fault onsets are a
+(** [run plan] executes the plan and classifies every domain.
+    [workload] is what the workers run (default [hot_set ~tvars:4]),
+    [warmup] is the settle time in seconds before the first sample (default 0.05 — fault onsets are a
     few hundred operations in, i.e. microseconds, so the window observes
     the steady faulty state), [window] the observation time between
     samples (default 0.15).  On a loaded machine the onsets can take
     longer, so the first sample also waits, for at most one more
     second, until every planned crash has happened and every planned
-    parasite has taken over.  With [blame] the graph counts only the
-    window's events ({!Tm_telemetry.Blame_graph.mark_window}), and the
-    window stays open, for at most one more second, until every domain
-    starving so far has witnessed {!Tm_telemetry.Blame_graph.min_events}
-    events.  The [Stm.Chaos] handler is uninstalled before returning,
+    parasite has taken over (under the global-lock core, a parasite
+    gated on a crash counts as landed once the crash has: the stranded
+    serializer keeps it from ever taking over, and the plan expects it
+    to starve).  The window stays open, for at most one more second,
+    until every domain the plan does not crash has ticked its op clock
+    16 times in the window (a worker kept off-core for most of the
+    window would otherwise read as crashed or starving).  With [blame]
+    the graph counts only the window's events
+    ({!Tm_telemetry.Blame_graph.mark_window}), and the window stays
+    open, for at most one more second, until every domain starving so
+    far has witnessed {!Tm_telemetry.Blame_graph.min_events} events.  The [Stm.Chaos] handler is uninstalled before returning,
     even on exceptions.
 
     [registry] and [on_sample] expose the run's telemetry: the watchdog
@@ -194,7 +195,7 @@ val pp_table : Format.formatter -> outcome -> unit
 
 val to_json : outcome -> string
 (** The verdict document:
-    [{"scenario":...,"algo":...,"seed":...,"domains":...,"ok":...,"verdicts":[...]}]
+    [{"scenario":...,"workload":...,"algo":...,"seed":...,"domains":...,"ok":...,"verdicts":[...]}]
     with stable key order.  Counter fields are informational (real
     multicore counts vary run to run); the classification fields are the
     stable, gateable part. *)

@@ -155,81 +155,17 @@ val pp_summary : Format.formatter -> outcome -> unit
 (** The human summary: canonical counts {e plus} the measured
     throughput/latency/abort/flush numbers. *)
 
-(** {2 Chaos against the serving path}
+(** {2 Chaos against the serving path} *)
 
-    A chaos serve session forces [journal] on and [batching] off: the
-    journal makes every request transaction conflict on one t-variable
-    (the serving analogue of the chaos runner's hot [shared.(0)]), so a
-    crash holding commit locks strands the whole peer set exactly as
-    the per-algorithm Figure-2 expectations in {!Tm_chaos.Plan}
-    describe.  Fault dispatch reuses {!Tm_chaos.Runner.fault_handler}
-    on the per-domain op clock. *)
-
-type session
-
-val session_plan : session -> Tm_chaos.Plan.t
-val session_config : session -> config
-val session_registry : session -> Tm_telemetry.Registry.t
-val session_liveness : session -> Tm_telemetry.Liveness_gauge.t
-val session_blame : session -> Tm_telemetry.Blame_graph.t option
-
-val session_latency : session -> Tm_telemetry.Latency_recorder.t option
-(** The session's open-loop latency recorder (with [~latency:true]). *)
-
-val session_sample : session -> int -> Tm_chaos.Runner.sample
-val session_samples : session -> Tm_chaos.Runner.sample array
-
-val with_chaos_session :
-  ?blame:bool ->
-  ?latency:bool ->
-  ?registry:Tm_telemetry.Registry.t ->
-  Tm_chaos.Plan.t ->
-  config ->
-  (session -> 'a) ->
-  'a
-(** Spawn one serving executor per plan slot with the plan's faults
-    armed (the plan's algo and domain count override the config's;
-    batching off, journal on), apply the callback, then stop, join,
-    recover and restore — the serving twin of
-    {!Tm_chaos.Runner.with_session}.  Executors cycle their client
-    rotation indefinitely; per-domain counters register as
-    [tm_serve_{ops,attempts,trycs,commits,injected}_total] and a
-    [tm_serve_crashed] gauge, plus the standard liveness gauge (and a
-    blame graph with [~blame:true]).  With [~latency:true] a
-    {!Tm_telemetry.Latency_recorder} registers under [tm_serve_lat] in
-    the session registry; executors mark each request in flight before
-    its transaction and complete it after — a request whose body dies
-    on [Stm.Chaos.Crashed] stays marked forever, so the open-loop p99
-    and the per-domain starvation age keep growing while the crashed
-    domain's closed-loop quantiles freeze. *)
-
-type chaos_outcome = {
-  k_plan : Tm_chaos.Plan.t;
-  k_profile : Workload.profile;
-  k_reports : Tm_chaos.Runner.report list;
-  k_ok : bool;
-}
-
-val chaos_run :
-  ?blame:bool ->
-  ?latency:bool ->
-  ?warmup:float ->
-  ?window:float ->
-  ?registry:Tm_telemetry.Registry.t ->
-  ?on_sample:(Tm_telemetry.Registry.snapshot -> unit) ->
-  Tm_chaos.Plan.t ->
-  config ->
-  chaos_outcome
-(** Watchdog two-sample classification of a chaos serve session, the
-    serving twin of {!Tm_chaos.Runner.run}: warmup (default 0.05 s),
-    first sample (liveness gauge rebased, scrape at ts 0), window
-    (default 0.15 s), second sample (gauge updated, scrape at ts 1),
-    then {!Tm_liveness.Empirical.classify_counters} verdicts against
-    the plan's expectations. *)
-
-val pp_chaos_table : Format.formatter -> chaos_outcome -> unit
-
-val chaos_to_json : chaos_outcome -> string
-(** Canonical verdict document, keyed like the chaos runner's but with
-    the serving profile:
-    [{"subsystem":"tmserve","scenario":...,"profile":...,...,"verdicts":[...]}]. *)
+val chaos_workload : config -> Tm_chaos.Runner.workload
+(** The serving path as a {!Tm_chaos.Runner} workload, named
+    [serve[<profile>]]: each plan slot is an executor that cycles its
+    client rotation ([c_clients], at least one per slot, [c_ops]
+    rounds) forever, with admission and batching off, and runs each
+    request's ops in one transaction that also marks the journal.  The
+    journal is the t-variable every slot shares, so a crash holding
+    commit locks strands the whole peer set, as the per-algorithm
+    expectations in {!Tm_chaos.Plan} describe.  The plan's algo and
+    domain count override the config's.  Drive it with
+    [Tm_chaos.Runner.run ~workload:(chaos_workload cfg) plan] or
+    {!Tm_chaos.Runner.with_session}. *)

@@ -235,10 +235,12 @@ let test_chaos_rule_ignores_faultless_traces () =
 (* Real runs: determinism and verdicts.  Short windows keep the suite
    fast; the classification already settles within a few milliseconds. *)
 
+let hot2 = Runner.hot_set ~tvars:2
+
 let run_scenario scenario seed =
   match Plan.make ~scenario ~seed ~domains:3 () with
   | Error m -> Alcotest.fail m
-  | Ok p -> Runner.run ~tvars:2 ~warmup:0.02 ~window:0.05 p
+  | Ok p -> Runner.run ~workload:hot2 ~warmup:0.02 ~window:0.05 p
 
 let test_run_crash_holding_locks () =
   let o = run_scenario "crash-holding-locks" 7 in
@@ -275,7 +277,7 @@ let test_run_parasitic_only () =
 let run_scenario_algo algo scenario seed =
   match Plan.make ~algo ~scenario ~seed ~domains:3 () with
   | Error m -> Alcotest.fail m
-  | Ok p -> Runner.run ~tvars:2 ~warmup:0.02 ~window:0.05 p
+  | Ok p -> Runner.run ~workload:hot2 ~warmup:0.02 ~window:0.05 p
 
 let check_peers name o want =
   if not o.Runner.o_ok then
@@ -328,6 +330,22 @@ let test_run_parasitic_glock () =
     (Pc.cls_label r0.Runner.rep_observed);
   check_peers "global-lock parasitic-only" o Pc.Starving
 
+(* Under the serializer, mixed's parasite is gated on a crash that
+   strands the serializer, so it never takes over: the window opens as
+   soon as the crash lands instead of spending the one-second onset
+   budget waiting for a takeover that cannot happen. *)
+let test_run_mixed_glock () =
+  let t0 = Unix.gettimeofday () in
+  let o = run_scenario_algo Stm.Algo.Global_lock "mixed" 3 in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  let r0 = List.nth o.Runner.o_reports 0 in
+  Alcotest.(check bool) "domain 0 died on Chaos.Crashed" true
+    r0.Runner.rep_crashed;
+  check_peers "global-lock mixed" o Pc.Starving;
+  Alcotest.(check bool)
+    (Fmt.str "run returns in under a second (%.3fs)" elapsed)
+    true (elapsed < 1.0)
+
 (* Per-algorithm traces still pass the analyzer: the dstm verdicts
    agree outright, and the glock parasite's starving verdict is the
    announced-expectation case of the chaos-class rule. *)
@@ -368,7 +386,7 @@ module Bg = Tm_telemetry.Blame_graph
 let run_blame ?(warmup = 0.02) ?(window = 0.05) algo scenario seed =
   match Plan.make ~algo ~scenario ~seed ~domains:3 () with
   | Error m -> Alcotest.fail m
-  | Ok p -> Runner.run ~blame:true ~tvars:2 ~warmup ~window p
+  | Ok p -> Runner.run ~blame:true ~workload:hot2 ~warmup ~window p
 
 let classify_outcome o =
   match o.Runner.o_blame with
@@ -534,6 +552,8 @@ let () =
             test_run_parasitic_dstm;
           Alcotest.test_case "global-lock parasite starves its peers" `Quick
             test_run_parasitic_glock;
+          Alcotest.test_case "global-lock mixed opens its window at the crash"
+            `Quick test_run_mixed_glock;
           Alcotest.test_case "per-algorithm traces pass the analyzer" `Quick
             test_run_per_algo_traces_lint_clean;
           Alcotest.test_case "trace byte-identical across runs" `Quick

@@ -10,6 +10,8 @@ module Store = Tm_serve.Store
 module Workload = Tm_serve.Workload
 module Server = Tm_serve.Server
 module Plan = Tm_chaos.Plan
+module Runner = Tm_chaos.Runner
+module Tev = Tm_trace.Trace_event
 module Tel = Tm_telemetry
 module Stm = Tm_stm.Stm
 
@@ -475,28 +477,57 @@ let chaos_cfg algo =
   Server.config ~algo ~clients:64 ~ops:4 ~keys:64 ~stripes:8
     ~profile:Workload.Write_heavy ~seed:42 ~domains:4 ()
 
-let test_chaos_serve_verdicts algo () =
-  match Plan.make ~algo ~scenario:"crash-holding-locks" ~seed:42 ~domains:4 ()
-  with
+(* Short windows like test_chaos: the runner already waits for the
+   fault onsets before it opens the window. *)
+let serve_chaos plan cfg =
+  Runner.run ~workload:(Server.chaos_workload cfg) ~warmup:0.02 ~window:0.05
+    plan
+
+let test_chaos_serve_verdicts scenario algo () =
+  match Plan.make ~algo ~scenario ~seed:42 ~domains:4 () with
   | Error m -> Alcotest.fail m
   | Ok plan ->
-      let o = Server.chaos_run plan (chaos_cfg algo) in
+      let o = serve_chaos plan (chaos_cfg algo) in
+      if not o.Runner.o_ok then Fmt.epr "%a@." Runner.pp_table o;
       Alcotest.(check bool)
-        (Stm.Algo.name algo ^ " serving path matches Figure-2 verdicts")
-        true o.Server.k_ok;
-      Alcotest.(check int) "one report per domain" 4
-        (List.length o.Server.k_reports);
-      (* The canonical verdict document replays byte-identically. *)
-      Alcotest.(check bool) "chaos json stable" true
-        (String.length (Server.chaos_to_json o) > 0)
+        (Fmt.str "%s %s: serving path matches Figure-2 verdicts" scenario
+           (Stm.Algo.name algo))
+        true o.Runner.o_ok;
+      Alcotest.(check string) "the verdicts name the serving workload"
+        "serve[write-heavy]" o.Runner.o_workload;
+      (* The trace is the planned schedule, byte-for-byte, then one
+         verdict instant per domain. *)
+      let planned = Plan.trace_events plan in
+      let n = List.length planned in
+      Alcotest.(check bool) "trace starts with the planned schedule" true
+        (List.filteri (fun i _ -> i < n) o.Runner.o_events = planned);
+      Alcotest.(check (list int)) "one chaos-verdict instant per domain"
+        [ 0; 1; 2; 3 ]
+        (List.filter_map
+           (fun (e : Tev.t) ->
+             if e.Tev.name = "chaos-verdict" then Some e.Tev.tid else None)
+           o.Runner.o_events)
 
 let test_chaos_serve_healthy () =
   match Plan.make ~scenario:"healthy" ~seed:1 ~domains:2 () with
   | Error m -> Alcotest.fail m
   | Ok plan ->
-      let o = Server.chaos_run plan (chaos_cfg Stm.Algo.Tl2) in
+      let o = serve_chaos plan (chaos_cfg Stm.Algo.Tl2) in
       Alcotest.(check bool) "healthy serving run progresses" true
-        o.Server.k_ok
+        o.Runner.o_ok
+
+let chaos_serve_cases =
+  List.concat_map
+    (fun scenario ->
+      List.map
+        (fun algo ->
+          Alcotest.test_case
+            (Fmt.str "%s %s" scenario (Stm.Algo.name algo))
+            `Quick
+            (test_chaos_serve_verdicts scenario algo))
+        Stm.Algo.all)
+    [ "crash-holding-locks"; "parasitic-only"; "mixed" ]
+  @ [ Alcotest.test_case "healthy" `Quick test_chaos_serve_healthy ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -562,12 +593,5 @@ let () =
           Alcotest.test_case "open loop leaves the canon unchanged" `Quick
             test_server_open_loop_invariance;
         ] );
-      ( "chaos-serve",
-        [
-          Alcotest.test_case "crash-holding-locks tl2" `Quick
-            (test_chaos_serve_verdicts Stm.Algo.Tl2);
-          Alcotest.test_case "crash-holding-locks dstm" `Quick
-            (test_chaos_serve_verdicts Stm.Algo.Dstm);
-          Alcotest.test_case "healthy" `Quick test_chaos_serve_healthy;
-        ] );
+      ("chaos-serve", chaos_serve_cases);
     ]
