@@ -44,28 +44,33 @@ let period_ns t = t.a_period
    arrivals are exponential with mean [1/rate]: u is uniform in (0, 1]
    built from the top 53 bits of a per-index splitmix64 output (same
    keying discipline as [Workload.request]), so the draw never sees 0
-   and [-. log u] never overflows. *)
-let gap t index =
+   and [-. log u] never overflows.  [g] is scratch: it is reseeded to
+   the index's stream, so a cursor reuses one generator. *)
+let gap_with g t index =
   match t.a_kind with
   | Constant -> if index = 0 then 0 else t.a_period
   | Poisson ->
-      let g =
-        Tm_sim.Prng.create
-          (t.a_seed * 0x1000003 lxor ((index + 1) * 0x9E3779B1))
-      in
-      let raw = Tm_sim.Prng.next g in
+      Tm_sim.Prng.reseed g
+        (t.a_seed * 0x1000003 lxor ((index + 1) * 0x9E3779B1));
       let u =
-        (Int64.to_float (Int64.shift_right_logical raw 11) +. 1.0)
-        *. 0x1.0p-53
+        (float_of_int (Tm_sim.Prng.bits g lsr 9) +. 1.0) *. 0x1.0p-53
       in
       max 0 (int_of_float (-.log u *. ns_per_s /. t.a_rate))
 
-type cursor = { c_of : t; mutable c_index : int; mutable c_time : int }
+let gap t index = gap_with (Tm_sim.Prng.create 0) t index
 
-let cursor t = { c_of = t; c_index = 0; c_time = 0 }
+type cursor = {
+  c_of : t;
+  c_g : Tm_sim.Prng.t;
+  mutable c_index : int;
+  mutable c_time : int;
+}
+
+let cursor t =
+  { c_of = t; c_g = Tm_sim.Prng.create 0; c_index = 0; c_time = 0 }
 
 let next cur =
-  let at = cur.c_time + gap cur.c_of cur.c_index in
+  let at = cur.c_time + gap_with cur.c_g cur.c_of cur.c_index in
   cur.c_index <- cur.c_index + 1;
   cur.c_time <- at;
   at

@@ -5,7 +5,7 @@
 
     The {e canonical} curve ({!run}) is a virtual-time model — a single
     server draining a FIFO queue at {!default_quantum_ns} nanoseconds
-    per {!Workload.cost} unit, fed by the deterministic {!Arrival}
+    per {!Workload.shape_cost} unit, fed by the deterministic {!Arrival}
     schedule in global-index order.  It is a pure integer computation of
     (profile, seed, clients, ops, keys, queue_cap, quantum, arrival
     kind, ladder): no wall clock and {e no domain count}, so the
@@ -44,7 +44,7 @@ type curve = {
 }
 
 val default_quantum_ns : int
-(** 1000: one {!Workload.cost} unit is 1us of virtual service time, so
+(** 1000: one {!Workload.shape_cost} unit is 1us of virtual service time, so
     the default server drains about 10^6/avg-cost requests per second. *)
 
 val run :

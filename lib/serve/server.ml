@@ -1,5 +1,6 @@
 module Stm = Tm_stm.Stm
 module Tel = Tm_telemetry
+module Prng = Tm_sim.Prng
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 let drain_units = 12
@@ -57,43 +58,76 @@ let total_requests cfg = cfg.c_clients * cfg.c_ops
 
 (* The admission model: a virtual bounded queue in cost units, drained
    at a fixed rate per arrival.  Pure per-domain function of the request
-   stream, hence canonical. *)
-let iter_requests cfg wl ~domain ~f =
+   stream, hence canonical.  Only the shape is drawn before the verdict:
+   [f client index shape admitted] fills the ops if it needs them. *)
+let admit_loop cfg wl g ~domain f =
   let q = ref 0 in
   for index = 0 to cfg.c_ops - 1 do
     let client = ref domain in
     while !client < cfg.c_clients do
-      let req = Workload.request wl ~client:!client ~index in
+      let shape = Workload.shape wl g ~client:!client ~index in
       q := max 0 (!q - drain_units);
-      let cost = Workload.cost req in
+      let cost = Workload.shape_cost shape in
       let admitted = !q + cost <= cfg.c_queue_cap in
       if admitted then q := !q + cost;
-      f ~client:!client ~index req ~admitted;
+      f !client index shape admitted;
       client := !client + cfg.c_domains
     done
   done
+
+let iter_requests cfg wl ~domain ~f =
+  let g = Prng.create 0 in
+  let buf = Store.buf_create ~capacity:Workload.max_ops in
+  admit_loop cfg wl g ~domain (fun client index shape admitted ->
+      Workload.fill wl g shape buf;
+      f ~client ~index (Workload.decode shape buf) ~admitted)
 
 (* {2 Flat combining} *)
 
 type fc_slot = {
   mutable fc_key : int;
   mutable fc_value : int;
+  mutable fc_taken : bool;  (* in the batch being flushed *)
   fc_state : int Atomic.t;  (* 0 empty, 1 pending, 2 applied *)
 }
 
-type fc = { fc_lock : bool Atomic.t; fc_slots : fc_slot array }
+type fc = {
+  fc_lock : bool Atomic.t;
+  fc_slots : fc_slot array;
+  fc_flush : unit -> unit;  (* the flush transaction's body *)
+}
 
-let fc_create ~stripes ~domains =
-  Array.init stripes (fun _ ->
+(* Apply every taken slot and mark the journal with the batch size. *)
+let fc_flush store slots () =
+  let n = ref 0 in
+  for i = 0 to Array.length slots - 1 do
+    let s = slots.(i) in
+    if s.fc_taken then begin
+      Store.write_key store s.fc_key s.fc_value;
+      incr n
+    end
+  done;
+  Store.journal_mark store !n
+
+let fc_create store ~domains =
+  Array.init (Store.stripes store) (fun _ ->
+      let slots =
+        Array.init domains (fun _ ->
+            {
+              fc_key = 0;
+              fc_value = 0;
+              fc_taken = false;
+              fc_state = Atomic.make 0;
+            })
+      in
       {
         fc_lock = Atomic.make false;
-        fc_slots =
-          Array.init domains (fun _ ->
-              { fc_key = 0; fc_value = 0; fc_state = Atomic.make 0 });
+        fc_slots = slots;
+        fc_flush = fc_flush store slots;
       })
 
 (* Publish the put in this domain's slot, then either observe a
-   combiner apply it or become the combiner: win the stripe lock, drain
+   combiner apply it or become the combiner: win the stripe lock, take
    every pending slot into one transaction (journal-marked with the
    batch size, so journal accounting is per-request), release.  A
    waiting owner that finds the lock free takes it itself, so nobody
@@ -104,28 +138,32 @@ let fc_put combs store ~flushes d k v =
   slot.fc_key <- k;
   slot.fc_value <- v;
   Atomic.set slot.fc_state 1;
-  let rec wait () =
-    if Atomic.get slot.fc_state = 2 then Atomic.set slot.fc_state 0
+  let waiting = ref true in
+  while !waiting do
+    if Atomic.get slot.fc_state = 2 then begin
+      Atomic.set slot.fc_state 0;
+      waiting := false
+    end
     else if Atomic.compare_and_set comb.fc_lock false true then begin
-      let pending =
-        Array.fold_left
-          (fun acc s -> if Atomic.get s.fc_state = 1 then s :: acc else acc)
-          [] comb.fc_slots
-      in
-      Stm.atomically (fun () ->
-          List.iter (fun s -> Store.write_key store s.fc_key s.fc_value) pending;
-          Store.journal_mark store (List.length pending));
-      List.iter (fun s -> Atomic.set s.fc_state 2) pending;
+      let slots = comb.fc_slots in
+      for i = 0 to Array.length slots - 1 do
+        slots.(i).fc_taken <- Atomic.get slots.(i).fc_state = 1
+      done;
+      Stm.atomically comb.fc_flush;
+      for i = 0 to Array.length slots - 1 do
+        let s = slots.(i) in
+        if s.fc_taken then begin
+          s.fc_taken <- false;
+          Atomic.set s.fc_state 2
+        end
+      done;
       Atomic.set comb.fc_lock false;
       Tel.Instrument.incr flushes;
-      Atomic.set slot.fc_state 0
+      Atomic.set slot.fc_state 0;
+      waiting := false
     end
-    else begin
-      Domain.cpu_relax ();
-      wait ()
-    end
-  in
-  wait ()
+    else Domain.cpu_relax ()
+  done
 
 (* {2 Serving a profile} *)
 
@@ -150,6 +188,7 @@ type outcome = {
   s_per_domain : per_domain array;
   s_journal_ok : bool;
   s_conserved : bool;
+  s_final : int array;
   s_wall : float;
   s_commits : int;
   s_aborts : int;
@@ -158,13 +197,6 @@ type outcome = {
   s_open : Tel.Latency_recorder.summary option;
       (* open-loop latency: present iff the run had an arrival clock *)
 }
-
-let counter_plane_sum store =
-  let acc = ref 0 in
-  for k = 0 to Store.keys store - 1 do
-    if k land 1 = 1 then acc := !acc + Store.value store k
-  done;
-  !acc
 
 let run ?on_sample cfg =
   validate cfg;
@@ -190,17 +222,18 @@ let run ?on_sample cfg =
     per "tm_serve_batched_total" "Admitted puts routed through a combiner"
   in
   let mutators = per "tm_serve_mutators_total" "Admitted mutating requests" in
+  (* Indexed by [Workload.shape_kind]. *)
+  let kinds = Array.of_list Workload.kinds in
   let by_kind =
-    List.map
+    Array.map
       (fun k ->
-        ( k,
-          Tel.Registry.counter reg
-            ~labels:[ ("kind", k) ]
-            ~help:"Admitted requests by kind" "tm_serve_admitted_kind_total" ))
-      Workload.kinds
+        Tel.Registry.counter reg
+          ~labels:[ ("kind", k) ]
+          ~help:"Admitted requests by kind" "tm_serve_admitted_kind_total")
+      kinds
   in
   (* Measured, non-canonical: bare instruments, never scraped. *)
-  let lat = List.map (fun k -> (k, Tel.Instrument.histogram ())) Workload.kinds in
+  let lat = Array.map (fun _ -> Tel.Instrument.histogram ()) kinds in
   let flushes = Tel.Instrument.counter () in
   (* The open-loop recorder is registry-free on purpose: its samples are
      wall-clock measurements, and the canonical scrape must not see
@@ -212,7 +245,7 @@ let run ?on_sample cfg =
           ~domains:nd ())
       cfg.c_arrival
   in
-  let combs = fc_create ~stripes:(Store.stripes store) ~domains:nd in
+  let combs = fc_create store ~domains:nd in
   let scrape ts =
     match on_sample with
     | Some f -> f (Tel.Registry.scrape reg ~ts)
@@ -226,6 +259,11 @@ let run ?on_sample cfg =
   let ready = Atomic.make 0 in
   let go = Atomic.make 0 in
   let worker d () =
+    (* Per-domain request state, reused for every request: the
+       generator, the op buffer and the transaction body over it. *)
+    let g = Prng.create 0 in
+    let buf = Store.buf_create ~capacity:Workload.max_ops in
+    let body () = Store.exec_buf store buf in
     (* Open-loop pacing state: a per-domain arrival cursor walked in
        global-index order (the schedule is a pure function of the index,
        so every domain count derives the same arrival times). *)
@@ -236,14 +274,17 @@ let run ?on_sample cfg =
       Domain.cpu_relax ()
     done;
     let t0n = Atomic.get go in
-    iter_requests cfg wl ~domain:d ~f:(fun ~client ~index req ~admitted:adm ->
+    admit_loop cfg wl g ~domain:d (fun client index shape adm ->
+        (* Fill before pacing, so an open loop generates while it waits
+           for the arrival instead of after it. *)
+        if adm then Workload.fill wl g shape buf;
         let sched =
           match cur with
           | None -> t0n
           | Some c ->
-              let g = (index * cfg.c_clients) + client in
-              Arrival.skip c (g - !g_prev - 1);
-              g_prev := g;
+              let gi = (index * cfg.c_clients) + client in
+              Arrival.skip c (gi - !g_prev - 1);
+              g_prev := gi;
               let at = t0n + Arrival.next c in
               (* dispatch no earlier than the scheduled arrival *)
               while now_ns () < at do
@@ -254,36 +295,26 @@ let run ?on_sample cfg =
         Tel.Instrument.incr requests.(d);
         if not adm then Tel.Instrument.incr shed.(d)
         else begin
+          let kind = Workload.shape_kind shape in
           Tel.Instrument.incr admitted.(d);
-          Tel.Instrument.incr (List.assoc (Workload.kind req) by_kind);
-          if Workload.mutates req then Tel.Instrument.incr mutators.(d);
-          let h = List.assoc (Workload.kind req) lat in
-          Option.iter
-            (fun r -> Tel.Latency_recorder.mark r d ~sched)
-            recorder;
+          Tel.Instrument.incr by_kind.(kind);
+          if Workload.shape_mutates shape then
+            Tel.Instrument.incr mutators.(d);
+          (match recorder with
+          | Some r -> Tel.Latency_recorder.mark r d ~sched
+          | None -> ());
           let start = now_ns () in
-          (match req with
-          | Workload.Single (Store.O_put (k, v)) when cfg.c_batching ->
+          (match shape with
+          | Workload.Put when cfg.c_batching ->
               Tel.Instrument.incr batched.(d);
-              fc_put combs store ~flushes d k v
-          | Workload.Single op ->
-              ignore
-                (Stm.atomically (fun () ->
-                     let r = Store.exec_op store op in
-                     if Store.op_mutates op then Store.journal_mark store 1;
-                     r))
-          | Workload.Txn ops ->
-              ignore
-                (Stm.atomically (fun () ->
-                     let rs = List.map (Store.exec_op store) ops in
-                     if List.exists Store.op_mutates ops then
-                       Store.journal_mark store 1;
-                     rs)));
+              fc_put combs store ~flushes d buf.Store.b_key.(0)
+                buf.Store.b_arg.(0)
+          | _ -> Stm.atomically body);
           let finish = now_ns () in
-          Tel.Instrument.observe h (finish - start);
-          Option.iter
-            (fun r -> Tel.Latency_recorder.complete r d ~start ~finish)
-            recorder
+          Tel.Instrument.observe lat.(kind) (finish - start);
+          match recorder with
+          | Some r -> Tel.Latency_recorder.complete r d ~start ~finish
+          | None -> ()
         end)
   in
   let ds = List.init nd (fun d -> Domain.spawn (worker d)) in
@@ -296,6 +327,11 @@ let run ?on_sample cfg =
   let wall = Unix.gettimeofday () -. t0 in
   scrape (total_requests cfg);
   let commits1, aborts1 = Stm.stats () in
+  let final = Store.dump store in
+  let counter_plane = ref 0 in
+  Array.iteri
+    (fun k v -> if k land 1 = 1 then counter_plane := !counter_plane + v)
+    final;
   let v a d = Tel.Instrument.value a.(d) in
   let sum a = Array.fold_left (fun acc c -> acc + Tel.Instrument.value c) 0 a in
   let mut_total = sum mutators in
@@ -307,7 +343,9 @@ let run ?on_sample cfg =
     s_batched = sum batched;
     s_mutators = mut_total;
     s_by_kind =
-      List.map (fun (k, c) -> (k, Tel.Instrument.value c)) by_kind;
+      List.mapi
+        (fun i k -> (k, Tel.Instrument.value by_kind.(i)))
+        Workload.kinds;
     s_per_domain =
       Array.init nd (fun d ->
           {
@@ -319,15 +357,17 @@ let run ?on_sample cfg =
           });
     s_journal_ok =
       (not cfg.c_journal) || Store.journal_value store = mut_total;
-    s_conserved = counter_plane_sum store = 0;
+    s_conserved = !counter_plane = 0;
+    s_final = final;
     s_wall = wall;
     s_commits = commits1 - commits0;
     s_aborts = aborts1 - aborts0;
     s_flushes = Tel.Instrument.value flushes;
     s_latency =
-      List.map
-        (fun (k, h) -> { l_kind = k; l_snap = Tel.Instrument.hist_snapshot h })
-        lat;
+      List.mapi
+        (fun i k ->
+          { l_kind = k; l_snap = Tel.Instrument.hist_snapshot lat.(i) })
+        Workload.kinds;
     s_open =
       Option.map
         (fun r -> Tel.Latency_recorder.summary r ~now:(now_ns ()))
@@ -420,21 +460,25 @@ let chaos_workload cfg =
     let wl = workload cfg in
     let clients = max cfg.c_clients domains in
     fun d ->
-      let client = ref d and index = ref 0 in
+      let g = Prng.create 0 in
+      let buf = Store.buf_create ~capacity:Workload.max_ops in
+      let client = ref d and index = ref 0 and mutates = ref false in
+      (* [exec_buf] marks the journal for a mutator; mark a pure read
+         here, so every request marks it once. *)
+      let body () =
+        Store.exec_buf store buf;
+        if not !mutates then Store.journal_mark store 1
+      in
       fun () ->
-        let ops =
-          match Workload.request wl ~client:!client ~index:!index with
-          | Workload.Single op -> [ op ]
-          | Workload.Txn ops -> ops
-        in
+        let shape = Workload.shape wl g ~client:!client ~index:!index in
+        Workload.fill wl g shape buf;
+        mutates := Workload.shape_mutates shape;
         client := !client + domains;
         if !client >= clients then begin
           client := d;
           index := (!index + 1) mod cfg.c_ops
         end;
-        fun () ->
-          List.iter (fun op -> ignore (Store.exec_op store op)) ops;
-          Store.journal_mark store 1
+        body
   in
   {
     Tm_chaos.Runner.w_name =

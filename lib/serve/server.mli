@@ -21,10 +21,17 @@
     Each executor runs a virtual bounded queue in abstract cost units:
     before each request it drains {!drain_units}, then admits the
     request iff the queued cost stays within [queue_cap], else sheds
-    it.  Costs come from {!Workload.cost}.  The model is deterministic
-    per domain, so shed counts are part of the canonical output — a
-    read-mostly profile sheds nothing, the long-transaction profile is
-    the overload regime.
+    it.  Costs come from {!Workload.shape_cost}.  The model is
+    deterministic per domain, so shed counts are part of the canonical
+    output — a read-mostly profile sheds nothing, the long-transaction
+    profile is the overload regime.
+
+    Admission runs before generation: an executor draws only the
+    request's shape, decides, and fills the shape's ops into its
+    per-domain op buffer only if the request is admitted, then runs the
+    buffer with {!Store.exec_buf} through one transaction body built
+    before the loop.  A shed request costs one draw and no
+    allocation.
 
     {2 Batching}
 
@@ -87,8 +94,9 @@ val iter_requests :
   unit
 (** The full request stream of one executor domain (clients congruent
     to [domain mod c_domains], round-major) with the admission model's
-    verdicts — the single source both the executors and the
-    sequential-spec conformance gates replay. *)
+    verdicts, each request materialized as a {!Workload.request}.  It
+    runs the executors' own admission loop, so both see the same
+    verdicts; the list view is for replays and conformance checks. *)
 
 (** {2 Serving a profile} *)
 
@@ -115,6 +123,10 @@ type outcome = {
   s_journal_ok : bool;  (** journal value = mutators (or journal off) *)
   s_conserved : bool;  (** counter plane sums to 0 *)
   (* informational (measured) *)
+  s_final : int array;
+      (** the store's contents after the join, by key (left out of
+          [to_json]: with several domains the last put on a key is a
+          race) *)
   s_wall : float;
   s_commits : int;
   s_aborts : int;

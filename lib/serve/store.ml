@@ -58,10 +58,63 @@ let exec_op t = function
 
 let write_key t k v = Stm.write (slot t k) v
 
+type tag = B_get | B_put | B_add | B_cas
+
+type buf = {
+  mutable b_len : int;
+  b_tag : tag array;
+  b_key : int array;
+  b_arg : int array;
+  b_arg2 : int array;
+}
+
+let buf_create ~capacity =
+  {
+    b_len = 0;
+    b_tag = Array.make capacity B_get;
+    b_key = Array.make capacity 0;
+    b_arg = Array.make capacity 0;
+    b_arg2 = Array.make capacity 0;
+  }
+
+let buf_set b i tag k a a2 =
+  b.b_tag.(i) <- tag;
+  b.b_key.(i) <- k;
+  b.b_arg.(i) <- a;
+  b.b_arg2.(i) <- a2
+
+let buf_op b i =
+  let k = b.b_key.(i) and a = b.b_arg.(i) in
+  match b.b_tag.(i) with
+  | B_get -> O_get k
+  | B_put -> O_put (k, a)
+  | B_add -> O_add (k, a)
+  | B_cas -> O_cas (k, a, b.b_arg2.(i))
+
 let journal_mark t n =
   match t.st_journal with
   | None -> ()
   | Some j -> Stm.write j (Stm.read j + n)
+
+(* [exec_op] over the buffer, results discarded: no [op] or [result]
+   block is built. *)
+let exec_buf t b =
+  let mutated = ref false in
+  for i = 0 to b.b_len - 1 do
+    let tv = slot t b.b_key.(i) in
+    match b.b_tag.(i) with
+    | B_get -> ignore (Stm.read tv)
+    | B_put ->
+        Stm.write tv b.b_arg.(i);
+        mutated := true
+    | B_add ->
+        Stm.write tv (Stm.read tv + b.b_arg.(i));
+        mutated := true
+    | B_cas ->
+        if Stm.read tv = b.b_arg.(i) then Stm.write tv b.b_arg2.(i);
+        mutated := true
+  done;
+  if !mutated then journal_mark t 1
 
 let get t k = Stm.atomically (fun () -> Stm.read (slot t k))
 
@@ -99,7 +152,7 @@ let multi t ops =
       rs)
 
 let value t k = get t k
-let dump t = Array.init t.st_keys (value t)
+let dump t = Array.init t.st_keys (fun k -> Stm.read (slot t k))
 let sum t = Array.fold_left ( + ) 0 (dump t)
 
 let journal_value t =

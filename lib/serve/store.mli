@@ -52,6 +52,38 @@ val op_mutates : op -> bool
 val exec_op : t -> op -> result
 (** Run one op inside the current transaction. *)
 
+(** {2 The flat op buffer}
+
+    The serving executors' request representation: one request's ops
+    in parallel arrays, reused from request to request, so generating
+    and running a request builds no [op] list and no [result]. *)
+
+type tag = B_get | B_put | B_add | B_cas
+
+type buf = {
+  mutable b_len : int;  (** ops [0 .. b_len-1] are live *)
+  b_tag : tag array;
+  b_key : int array;
+  b_arg : int array;  (** put value, add delta, cas expected *)
+  b_arg2 : int array;  (** cas desired *)
+}
+
+val buf_create : capacity:int -> buf
+(** An empty buffer for up to [capacity] ops. *)
+
+val buf_set : buf -> int -> tag -> int -> int -> int -> unit
+(** [buf_set b i tag key arg arg2] writes op [i] (does not touch
+    [b_len]). *)
+
+val buf_op : buf -> int -> op
+(** Op [i] as an {!op}. *)
+
+val exec_buf : t -> buf -> unit
+(** Inside the current transaction: {!exec_op} each of the buffer's ops
+    in order, then {!journal_mark} once if any op mutates.  Results are
+    discarded; allocates nothing beyond what the core's reads and writes
+    do. *)
+
 val write_key : t -> int -> int -> unit
 (** Raw in-transaction write, for the flat combiner's drain loop. *)
 
@@ -76,8 +108,9 @@ val spec_op : int array -> op -> result
 
 (** {2 Non-transactional inspection}
 
-    For after the workers are joined — each read is its own
-    transaction, so a live dump is not a consistent cut. *)
+    For after the workers are joined — each read stands alone ({!value}
+    is its own transaction, {!dump} and {!sum} use the core's direct
+    single-location read), so a live dump is not a consistent cut. *)
 
 val value : t -> int -> int
 val sum : t -> int

@@ -30,16 +30,6 @@ type request = Single of Store.op | Txn of Store.op list
 
 let kinds = [ "cas"; "get"; "put"; "txn" ]
 
-let kind = function
-  | Single (Store.O_get _) -> "get"
-  | Single (Store.O_put _) | Single (Store.O_add _) -> "put"
-  | Single (Store.O_cas _) -> "cas"
-  | Txn _ -> "txn"
-
-let mutates = function
-  | Single op -> Store.op_mutates op
-  | Txn ops -> List.exists Store.op_mutates ops
-
 let cost = function
   | Single (Store.O_get _) -> 8
   | Single _ -> 14
@@ -79,52 +69,96 @@ let kv_key t g =
 
 let cnt_key u = (2 * u) + 1
 
-let get t g = Single (Store.O_get (kv_key t g))
-let put t g = Single (Store.O_put (kv_key t g, 1 + Prng.int g 1000))
+(* {2 Shape, then fill} *)
 
-let cas t g =
-  Single (Store.O_cas (kv_key t g, Prng.int g 8, 1 + Prng.int g 1000))
+type shape = Get | Put | Cas | Short_txn | Long_txn
 
-(* One conserving transfer: two distinct counter keys, deltas +-d. *)
-let transfer t g acc =
-  let a = Prng.int g t.w_cnt_n in
-  let b = (a + 1 + Prng.int g (t.w_cnt_n - 1)) mod t.w_cnt_n in
-  let d = 1 + Prng.int g 8 in
-  Store.O_add (cnt_key a, -d) :: Store.O_add (cnt_key b, d) :: acc
+let max_ops = 20
 
-let short_txn t g = Txn (transfer t g [])
+let shape_cost = function
+  | Get -> 8
+  | Put | Cas -> 14
+  | Short_txn -> 8 + (6 * 2)
+  | Long_txn -> 8 + (6 * max_ops)
 
-let long_txn t g =
-  let reads = List.init 4 (fun _ -> Store.O_get (kv_key t g)) in
-  let pairs = ref [] in
-  for _ = 1 to 8 do
-    pairs := transfer t g !pairs
-  done;
-  Txn (reads @ !pairs)
+(* Index into [kinds]. *)
+let shape_kind = function
+  | Cas -> 0
+  | Get -> 1
+  | Put -> 2
+  | Short_txn | Long_txn -> 3
 
-let request t ~client ~index =
-  let g =
-    Prng.create
-      (t.w_seed * 0x1000003
-      lxor (client * 0x9E3779B1)
-      lxor ((index + 1) * 0x85EBCA6B))
-  in
+let shape_mutates = function
+  | Get -> false
+  | Put | Cas | Short_txn | Long_txn -> true
+
+let shape t g ~client ~index =
+  Prng.reseed g
+    (t.w_seed * 0x1000003
+    lxor (client * 0x9E3779B1)
+    lxor ((index + 1) * 0x85EBCA6B));
   let p = Prng.int g 100 in
   match t.w_profile with
-  | Read_mostly ->
-      if p < 90 then get t g
-      else if p < 97 then put t g
-      else short_txn t g
+  | Read_mostly -> if p < 90 then Get else if p < 97 then Put else Short_txn
   | Write_heavy ->
-      if p < 25 then get t g
-      else if p < 75 then put t g
-      else if p < 90 then cas t g
-      else short_txn t g
-  | Long_txn ->
-      if p < 30 then get t g else if p < 40 then put t g else long_txn t g
+      if p < 25 then Get
+      else if p < 75 then Put
+      else if p < 90 then Cas
+      else Short_txn
+  | Long_txn -> if p < 30 then Get else if p < 40 then Put else Long_txn
   | Mixed ->
-      if p < 45 then get t g
-      else if p < 70 then put t g
-      else if p < 80 then cas t g
-      else if p < 90 then short_txn t g
-      else long_txn t g
+      if p < 45 then Get
+      else if p < 70 then Put
+      else if p < 80 then Cas
+      else if p < 90 then Short_txn
+      else Long_txn
+
+(* One conserving transfer into slots [i] and [i+1]: two distinct
+   counter keys, deltas +-d. *)
+let transfer t g b i =
+  let a = Prng.int g t.w_cnt_n in
+  let c = (a + 1 + Prng.int g (t.w_cnt_n - 1)) mod t.w_cnt_n in
+  let d = 1 + Prng.int g 8 in
+  Store.buf_set b i Store.B_add (cnt_key a) (-d) 0;
+  Store.buf_set b (i + 1) Store.B_add (cnt_key c) d 0
+
+(* The draw order is part of the stream (pinned by the goldens in
+   test_serve): a put draws its value before its key; a cas its
+   desired, then expected, then key; a long transaction its 4 reads,
+   then 8 transfers, stored from the back of the buffer. *)
+let fill t g shape b =
+  match shape with
+  | Get ->
+      Store.buf_set b 0 Store.B_get (kv_key t g) 0 0;
+      b.Store.b_len <- 1
+  | Put ->
+      let v = 1 + Prng.int g 1000 in
+      Store.buf_set b 0 Store.B_put (kv_key t g) v 0;
+      b.Store.b_len <- 1
+  | Cas ->
+      let desired = 1 + Prng.int g 1000 in
+      let expected = Prng.int g 8 in
+      Store.buf_set b 0 Store.B_cas (kv_key t g) expected desired;
+      b.Store.b_len <- 1
+  | Short_txn ->
+      transfer t g b 0;
+      b.Store.b_len <- 2
+  | Long_txn ->
+      for i = 0 to 3 do
+        Store.buf_set b i Store.B_get (kv_key t g) 0 0
+      done;
+      for j = 1 to 8 do
+        transfer t g b (max_ops - (2 * j))
+      done;
+      b.Store.b_len <- max_ops
+
+let decode shape b =
+  match shape with
+  | Get | Put | Cas -> Single (Store.buf_op b 0)
+  | Short_txn | Long_txn -> Txn (List.init b.Store.b_len (Store.buf_op b))
+
+let request t ~client ~index =
+  let g = Prng.create 0 and b = Store.buf_create ~capacity:max_ops in
+  let s = shape t g ~client ~index in
+  fill t g s b;
+  decode s b

@@ -31,9 +31,6 @@ val kinds : string list
 (** Request-kind labels in canonical (sorted) order:
     ["cas"; "get"; "put"; "txn"]. *)
 
-val kind : request -> string
-val mutates : request -> bool
-
 val cost : request -> int
 (** Admission cost in queue units: 8 for a get, 14 for a put or cas,
     [8 + 6 * length] for a transaction.  See {!Server} for the virtual
@@ -51,4 +48,46 @@ val keys : t -> int
 val zipf : t -> Zipf.t
 
 val request : t -> client:int -> index:int -> request
-(** The [index]-th request of [client] — deterministic, stateless. *)
+(** The [index]-th request of [client] — deterministic, stateless:
+    {!shape}, then {!fill}, then the buffer decoded to a list. *)
+
+(** {2 Generating in two steps}
+
+    The serving executors generate a request in two steps, so a request
+    that admission sheds costs one draw: {!shape} reseeds the caller's
+    generator to the request's stream and picks its shape, whose
+    admission cost is fixed; {!fill} continues the same stream into a
+    flat op buffer.  Neither allocates.  Together they draw exactly the
+    values {!request} is built from. *)
+
+type shape =
+  | Get
+  | Put
+  | Cas
+  | Short_txn  (** one transfer: 2 ops *)
+  | Long_txn  (** 4 reads and 8 transfers: {!max_ops} ops *)
+
+val max_ops : int
+(** The longest request, in ops (20): the capacity {!fill} needs. *)
+
+val shape : t -> Tm_sim.Prng.t -> client:int -> index:int -> shape
+(** The shape of the [index]-th request of [client]; leaves the
+    generator positioned for {!fill}. *)
+
+val fill : t -> Tm_sim.Prng.t -> shape -> Store.buf -> unit
+(** Write the ops of the request whose {!shape} was just drawn from
+    the generator into the buffer (capacity at least {!max_ops}) and
+    set its length. *)
+
+val decode : shape -> Store.buf -> request
+(** The filled buffer as a {!request}. *)
+
+val shape_cost : shape -> int
+(** {!cost} of every request of the shape: 8, 14, 14, 20, 128. *)
+
+val shape_kind : shape -> int
+(** The kind of the shape's requests, as an index into {!kinds}: a
+    transaction of either length is ["txn"]. *)
+
+val shape_mutates : shape -> bool
+(** Whether the shape's requests write: all but [Get]. *)

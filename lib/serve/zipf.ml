@@ -28,8 +28,9 @@ let cumulative_mass t r =
 let mass t r = cumulative_mass t r -. cumulative_mass t (r - 1)
 
 (* First rank whose cumulative mass exceeds [u].  [u < 1.0] and the last
-   entry is exactly 1.0, so the search always lands in range. *)
-let sample_u t u =
+   entry is exactly 1.0, so the search always lands in range.  Inlined
+   into [sample], so [u] is never boxed. *)
+let[@inline] sample_u t u =
   let cum = t.z_cum in
   let lo = ref 0 and hi = ref (Array.length cum - 1) in
   while !lo < !hi do
@@ -38,9 +39,7 @@ let sample_u t u =
   done;
   !lo
 
-(* 53 uniform bits, the double-precision standard construction. *)
-let uniform01 g =
-  let bits = Int64.to_int (Int64.shift_right_logical (Prng.next g) 11) in
-  float_of_int bits *. 0x1p-53
-
+(* 53 uniform bits (the top 53 of [Prng.next]), the double-precision
+   standard construction. *)
+let[@inline] uniform01 g = float_of_int (Prng.bits g lsr 9) *. 0x1p-53
 let sample t g = sample_u t (uniform01 g)

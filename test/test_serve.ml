@@ -133,6 +133,99 @@ let test_workload_costs () =
     (Workload.cost (Workload.Txn [ Store.O_get 0; Store.O_get 2 ]));
   ignore (Workload.zipf w)
 
+(* The serving path's kind label of a request. *)
+let kind_of = function
+  | Workload.Single (Store.O_get _) -> "get"
+  | Workload.Single (Store.O_put _ | Store.O_add _) -> "put"
+  | Workload.Single (Store.O_cas _) -> "cas"
+  | Workload.Txn _ -> "txn"
+
+(* Every request's shape prices it exactly as [cost] prices the request
+   built from it, and labels it with the same kind. *)
+let test_workload_shape_cost () =
+  let g = Prng.create 0 in
+  List.iter
+    (fun profile ->
+      let w = Workload.create ~profile ~seed:3 ~keys:64 () in
+      for client = 0 to 300 do
+        let req = Workload.request w ~client ~index:1 in
+        let shape = Workload.shape w g ~client ~index:1 in
+        Alcotest.(check int) "shape cost = request cost" (Workload.cost req)
+          (Workload.shape_cost shape);
+        Alcotest.(check string) "shape kind = request kind" (kind_of req)
+          (List.nth Workload.kinds (Workload.shape_kind shape))
+      done)
+    Workload.profiles
+
+let golden_lines file =
+  In_channel.with_open_text file In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+
+let op_str = function
+  | Store.O_get k -> Fmt.str "g%d" k
+  | Store.O_put (k, v) -> Fmt.str "p%d,%d" k v
+  | Store.O_add (k, d) -> Fmt.str "a%d,%d" k d
+  | Store.O_cas (k, e, d) -> Fmt.str "c%d,%d,%d" k e d
+
+(* The request stream is pinned: the first 2000 requests of every
+   profile (seed 42, 128 keys), rendered one per line, hash to the
+   digests in [golden/requests.txt]. *)
+let test_workload_golden_stream () =
+  let want = golden_lines "golden/requests.txt" in
+  Alcotest.(check int) "one digest per profile"
+    (List.length Workload.profiles) (List.length want);
+  List.iter2
+    (fun profile line ->
+      let w = Workload.create ~profile ~seed:42 ~keys:128 () in
+      let b = Buffer.create 4096 in
+      for index = 0 to 3 do
+        for client = 0 to 499 do
+          (match Workload.request w ~client ~index with
+          | Workload.Single op -> Buffer.add_string b (op_str op)
+          | Workload.Txn ops ->
+              Buffer.add_string b
+                ("[" ^ String.concat ";" (List.map op_str ops) ^ "]"));
+          Buffer.add_char b '\n'
+        done
+      done;
+      Alcotest.(check string)
+        (Workload.profile_name profile ^ " stream digest")
+        line
+        (Workload.profile_name profile ^ " "
+        ^ Digest.to_hex (Digest.string (Buffer.contents b))))
+    Workload.profiles want
+
+(* Words gate, one domain: drawing a shape and filling the op buffer
+   allocate nothing, so a shed request costs no minor-heap words and an
+   admitted one costs only what its transaction does. *)
+let test_workload_zero_alloc () =
+  let g = Prng.create 0 in
+  let buf = Store.buf_create ~capacity:Workload.max_ops in
+  List.iter
+    (fun profile ->
+      let w = Workload.create ~profile ~seed:9 ~keys:1024 () in
+      let n = 10_000 in
+      let acc = ref 0 in
+      let w0 = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        acc :=
+          !acc + Workload.shape_cost (Workload.shape w g ~client:i ~index:0)
+      done;
+      let w1 = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        Workload.fill w g (Workload.shape w g ~client:i ~index:1) buf;
+        acc := !acc + buf.Store.b_len
+      done;
+      let w2 = Gc.minor_words () in
+      ignore (Sys.opaque_identity !acc);
+      let name = Workload.profile_name profile in
+      Alcotest.(check (float 0.)) (name ^ ": 10^4 shapes, 0 words") 0.
+        (w1 -. w0);
+      Alcotest.(check (float 0.)) (name ^ ": 10^4 fills, 0 words") 0.
+        (w2 -. w1))
+    Workload.profiles
+
 (* ------------------------------------------------------------------ *)
 (* Store: differential against the sequential-map spec. *)
 
@@ -271,39 +364,94 @@ let test_server_long_txn_sheds () =
     o'.Server.s_shed
 
 let test_server_admission_matches_iter () =
-  (* The executor's shed counters and the pure replay of the admission
-     model must agree exactly. *)
+  (* The executors' counters and the pure replay of the admission model
+     through [iter_requests] must agree exactly: shed, admitted,
+     mutators and admitted-by-kind. *)
   let cfg = small_cfg ~profile:Workload.Long_txn () in
   let o = Server.run cfg in
   let wl = Server.workload cfg in
+  let by_kind = Hashtbl.create 4 in
   for d = 0 to 3 do
-    let shed = ref 0 in
-    Server.iter_requests cfg wl ~domain:d ~f:(fun ~client:_ ~index:_ _ ~admitted ->
-        if not admitted then incr shed);
+    let shed = ref 0 and admitted = ref 0 and mutators = ref 0 in
+    Server.iter_requests cfg wl ~domain:d
+      ~f:(fun ~client:_ ~index:_ req ~admitted:adm ->
+        if not adm then incr shed
+        else begin
+          incr admitted;
+          let k = kind_of req in
+          Hashtbl.replace by_kind k
+            (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind k));
+          let ops =
+            match req with
+            | Workload.Single op -> [ op ]
+            | Workload.Txn ops -> ops
+          in
+          if List.exists Store.op_mutates ops then incr mutators
+        end);
+    let pd = o.Server.s_per_domain.(d) in
     Alcotest.(check int)
       (Fmt.str "domain %d shed replay" d)
-      o.Server.s_per_domain.(d).Server.d_shed !shed
-  done
+      pd.Server.d_shed !shed;
+    Alcotest.(check int)
+      (Fmt.str "domain %d admitted replay" d)
+      pd.Server.d_admitted !admitted;
+    Alcotest.(check int)
+      (Fmt.str "domain %d mutators replay" d)
+      pd.Server.d_mutators !mutators
+  done;
+  List.iter
+    (fun (k, n) ->
+      Alcotest.(check int) ("admitted " ^ k ^ " replay")
+        (Option.value ~default:0 (Hashtbl.find_opt by_kind k)) n)
+    o.Server.s_by_kind
 
 let test_server_spec_conformance () =
   (* domains=1, batching off: replay the admitted stream through the
-     sequential-map spec; the store must end byte-equal. *)
-  let cfg =
-    Server.config ~clients:300 ~ops:3 ~keys:64 ~stripes:8 ~batching:false
-      ~profile:Workload.Mixed ~seed:11 ~domains:1 ()
-  in
-  let o = Server.run cfg in
-  Alcotest.(check bool) "run conserved" true o.Server.s_conserved;
-  let wl = Server.workload cfg in
-  let model = Array.make cfg.Server.c_keys 0 in
-  Server.iter_requests cfg wl ~domain:0 ~f:(fun ~client:_ ~index:_ req ~admitted ->
-      if admitted then
-        match req with
-        | Workload.Single op -> ignore (Store.spec_op model op)
-        | Workload.Txn ops -> List.iter (fun op -> ignore (Store.spec_op model op)) ops);
-  let odd = ref 0 in
-  Array.iteri (fun k v -> if k mod 2 = 1 then odd := !odd + v) model;
-  Alcotest.(check int) "spec replay conserves too" 0 !odd
+     sequential-map spec; the store must end byte-equal.  The run
+     executes from the flat op buffer, the replay from the decoded
+     lists, so this holds [Store.exec_buf] to [Store.spec_op]. *)
+  List.iter
+    (fun profile ->
+      let cfg =
+        Server.config ~clients:300 ~ops:3 ~keys:64 ~stripes:8 ~batching:false
+          ~journal:true ~profile ~seed:11 ~domains:1 ()
+      in
+      let o = Server.run cfg in
+      let name = Workload.profile_name profile in
+      Alcotest.(check bool) (name ^ " run conserved") true o.Server.s_conserved;
+      Alcotest.(check bool) (name ^ " journal ok") true o.Server.s_journal_ok;
+      let wl = Server.workload cfg in
+      let model = Array.make cfg.Server.c_keys 0 in
+      Server.iter_requests cfg wl ~domain:0
+        ~f:(fun ~client:_ ~index:_ req ~admitted ->
+          if admitted then
+            match req with
+            | Workload.Single op -> ignore (Store.spec_op model op)
+            | Workload.Txn ops ->
+                List.iter (fun op -> ignore (Store.spec_op model op)) ops);
+      Alcotest.(check (array int))
+        (name ^ " final store = spec replay, key by key")
+        model o.Server.s_final)
+    Workload.profiles
+
+(* The canonical serve document is pinned for every profile (2 domains,
+   journal on, small population): [golden/serve-<profile>.json]. *)
+let test_server_golden () =
+  List.iter
+    (fun profile ->
+      let name = Workload.profile_name profile in
+      let cfg =
+        Server.config ~clients:400 ~ops:3 ~keys:128 ~stripes:16 ~journal:true
+          ~profile ~seed:42 ~domains:2 ()
+      in
+      match golden_lines (Fmt.str "golden/serve-%s.json" name) with
+      | [ want ] ->
+          Alcotest.(check string)
+            (name ^ " canonical document")
+            want
+            (Server.to_json (Server.run cfg))
+      | _ -> Alcotest.failf "golden/serve-%s.json: expected one line" name)
+    Workload.profiles
 
 (* ------------------------------------------------------------------ *)
 (* Op-clock telemetry: the serving-mode export regression. *)
@@ -552,6 +700,12 @@ let () =
           Alcotest.test_case "planes and conservation" `Quick
             test_workload_planes_and_conservation;
           Alcotest.test_case "admission costs" `Quick test_workload_costs;
+          Alcotest.test_case "shape prices the request" `Quick
+            test_workload_shape_cost;
+          Alcotest.test_case "golden request stream" `Quick
+            test_workload_golden_stream;
+          Alcotest.test_case "shape and fill allocate nothing" `Quick
+            test_workload_zero_alloc;
         ] );
       ( "store",
         [
@@ -573,6 +727,8 @@ let () =
             test_server_admission_matches_iter;
           Alcotest.test_case "sequential-spec conformance" `Quick
             test_server_spec_conformance;
+          Alcotest.test_case "golden canonical documents" `Quick
+            test_server_golden;
           Alcotest.test_case "telemetry rides the op clock" `Quick
             test_server_telemetry_op_clock;
         ] );

@@ -62,6 +62,78 @@ let test_prng_errors () =
     (Invalid_argument "Prng.pick: empty list") (fun () ->
       ignore (Tm_sim.Prng.pick g ([] : int list)))
 
+(* Golden vectors ([golden/prng.txt]): every stream the generator
+   offers, for five seeds, must reproduce the recorded values exactly —
+   the byte-deterministic artifacts downstream all rest on it. *)
+let golden_bounds = [| 1; 2; 3; 7; 100; 1000; 1 lsl 30; max_int |]
+
+let prng_stream seed kind =
+  let module P = Tm_sim.Prng in
+  let g = P.create seed in
+  let ints n f = List.init n (fun i -> string_of_int (f i)) in
+  let int64s n f = List.init n (fun _ -> Int64.to_string (f ())) in
+  match kind with
+  | "next" -> int64s 64 (fun () -> P.next g)
+  | "int" -> ints 64 (fun i -> P.int g golden_bounds.(i mod 8))
+  | "bool" ->
+      [ String.concat "" (ints 64 (fun _ -> if P.bool g then 1 else 0)) ]
+  | "split" ->
+      let c = P.split g in
+      List.concat
+        (List.init 16 (fun _ ->
+             let a = P.next c in
+             let b = P.next g in
+             [ Int64.to_string a; Int64.to_string b ]))
+  | "copy" ->
+      for _ = 1 to 5 do
+        ignore (P.next g)
+      done;
+      let c = P.copy g in
+      int64s 16 (fun () -> P.next c)
+  | k -> Alcotest.failf "unknown golden stream %S" k
+
+let test_prng_golden () =
+  let lines =
+    In_channel.with_open_text "golden/prng.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check int) "5 seeds x 5 streams" 25 (List.length lines);
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | seed :: kind :: want ->
+          Alcotest.(check (list string))
+            (Fmt.str "seed %s %s" seed kind)
+            want
+            (prng_stream (int_of_string seed) kind)
+      | _ -> Alcotest.failf "bad golden line %S" line)
+    lines
+
+let test_prng_reseed () =
+  let g = Tm_sim.Prng.create 1 in
+  ignore (Tm_sim.Prng.next g);
+  Tm_sim.Prng.reseed g 77;
+  let f = Tm_sim.Prng.create 77 in
+  for _ = 1 to 16 do
+    Alcotest.(check int64) "reseed = create" (Tm_sim.Prng.next f)
+      (Tm_sim.Prng.next g)
+  done
+
+(* Words gate: the generator's state is unboxed, so a draw allocates
+   nothing on the minor heap. *)
+let test_prng_zero_alloc () =
+  let g = Tm_sim.Prng.create 5 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    acc := !acc + Tm_sim.Prng.int g 1000
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.(check (float 0.)) "10^5 Prng.int draws allocate 0 words" 0.
+    words
+
 (* ------------------------------------------------------------------ *)
 (* Workloads. *)
 
@@ -601,6 +673,10 @@ let () =
             test_prng_split_independent;
           Alcotest.test_case "copy" `Quick test_prng_copy;
           Alcotest.test_case "errors" `Quick test_prng_errors;
+          Alcotest.test_case "golden vectors" `Quick test_prng_golden;
+          Alcotest.test_case "reseed" `Quick test_prng_reseed;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_prng_zero_alloc;
         ] );
       ( "workloads",
         [
