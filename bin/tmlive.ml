@@ -1383,8 +1383,8 @@ module Serve = Tm_serve.Server
 
 let serve_cmd =
   let run list_profiles profile algo domains seed clients ops keys stripes
-      no_batching journal queue_cap arrival rate scenario warmup window
-      format out telemetry telemetry_format =
+      journal queue_cap arrival rate scenario warmup window format out
+      telemetry telemetry_format =
     if list_profiles then
       List.iter
         (fun p ->
@@ -1414,9 +1414,8 @@ let serve_cmd =
       in
       let cfg =
         try
-          Serve.config ~algo ~clients ~ops ~keys ~stripes
-            ~batching:(not no_batching) ~journal ~queue_cap ?arrival
-            ~profile ~seed ~domains ()
+          Serve.config ~algo ~clients ~ops ~keys ~stripes ~journal
+            ~queue_cap ?arrival ~profile ~seed ~domains ()
         with Invalid_argument m ->
           Fmt.epr "error: %s@." m;
           exit 2
@@ -1496,15 +1495,8 @@ let serve_cmd =
   let stripes =
     Arg.(
       value & opt int 64
-      & info [ "stripes" ] ~docv:"N" ~doc:"Store stripes (combiner units).")
-  in
-  let no_batching =
-    Arg.(
-      value & flag
-      & info [ "no-batching" ]
-          ~doc:
-            "Disable hot-stripe flat-combining: every admitted put \
-             commits its own transaction.")
+      & info [ "stripes" ] ~docv:"N"
+          ~doc:"Store stripes: key directories, key k in stripe k mod N.")
   in
   let journal =
     Arg.(
@@ -1573,16 +1565,16 @@ let serve_cmd =
        ~doc:
          "Serve a deterministic client population against the sharded \
           transactional KV store: per-domain executors, bounded-queue \
-          admission with overload shedding, hot-stripe flat-combining, \
-          and Zipfian read-mostly / write-heavy / long-txn / mixed \
+          admission with overload shedding, one transaction per admitted \
+          request, and Zipfian read-mostly / write-heavy / long-txn / mixed \
           profiles.  Emits a canonical byte-deterministic JSON document; \
           $(b,--scenario) instead injects chaos faults into the serving \
           path and gates on the per-algorithm Figure-2 verdicts.")
     Term.(
       const run $ list_profiles $ profile_arg () $ algo_arg () $ domains
-      $ seed $ clients $ ops $ keys $ stripes $ no_batching $ journal
-      $ queue_cap $ arrival $ rate $ scenario $ warmup $ window $ format
-      $ out $ telemetry $ telemetry_format)
+      $ seed $ clients $ ops $ keys $ stripes $ journal $ queue_cap
+      $ arrival $ rate $ scenario $ warmup $ window $ format $ out
+      $ telemetry $ telemetry_format)
 
 module Loadcurve = Tm_serve.Loadcurve
 

@@ -56,8 +56,8 @@ val run :
   curve
 (** Sweep the ladder (one virtual-queue pass per rate).  Only the
     config's profile, seed, clients, ops, keys and queue_cap are read —
-    domains, algo and batching do not exist in the model.  [on_sample]
-    receives one scrape per rung ([ts] = rung index, fresh registry:
+    domains and algo do not exist in the model.  [on_sample] receives
+    one scrape per rung ([ts] = rung index, fresh registry:
     [tm_loadcurve_{admitted,shed}_total] counters and
     [tm_loadcurve_{queueing,service,sojourn}_ns] hires histograms), all
     deterministic, so a JSONL time series of the sweep is canonical too.

@@ -14,7 +14,6 @@ type config = {
   c_ops : int;
   c_keys : int;
   c_stripes : int;
-  c_batching : bool;
   c_journal : bool;
   c_queue_cap : int;
   c_arrival : Arrival.t option;
@@ -30,7 +29,7 @@ let validate cfg =
   if cfg.c_queue_cap < 1 then invalid_arg "Server.config: queue_cap < 1"
 
 let config ?(algo = Stm.Algo.Tl2) ?(clients = 10_000) ?(ops = 4)
-    ?(keys = 1024) ?(stripes = 64) ?(batching = true) ?(journal = false)
+    ?(keys = 1024) ?(stripes = 64) ?(journal = false)
     ?(queue_cap = 2048) ?arrival ~profile ~seed ~domains () =
   let cfg =
     {
@@ -42,7 +41,6 @@ let config ?(algo = Stm.Algo.Tl2) ?(clients = 10_000) ?(ops = 4)
       c_ops = ops;
       c_keys = keys;
       c_stripes = stripes;
-      c_batching = batching;
       c_journal = journal;
       c_queue_cap = queue_cap;
       c_arrival = arrival;
@@ -82,89 +80,6 @@ let iter_requests cfg wl ~domain ~f =
       Workload.fill wl g shape buf;
       f ~client ~index (Workload.decode shape buf) ~admitted)
 
-(* {2 Flat combining} *)
-
-type fc_slot = {
-  mutable fc_key : int;
-  mutable fc_value : int;
-  mutable fc_taken : bool;  (* in the batch being flushed *)
-  fc_state : int Atomic.t;  (* 0 empty, 1 pending, 2 applied *)
-}
-
-type fc = {
-  fc_lock : bool Atomic.t;
-  fc_slots : fc_slot array;
-  fc_flush : unit -> unit;  (* the flush transaction's body *)
-}
-
-(* Apply every taken slot and mark the journal with the batch size. *)
-let fc_flush store slots () =
-  let n = ref 0 in
-  for i = 0 to Array.length slots - 1 do
-    let s = slots.(i) in
-    if s.fc_taken then begin
-      Store.write_key store s.fc_key s.fc_value;
-      incr n
-    end
-  done;
-  Store.journal_mark store !n
-
-let fc_create store ~domains =
-  Array.init (Store.stripes store) (fun _ ->
-      let slots =
-        Array.init domains (fun _ ->
-            {
-              fc_key = 0;
-              fc_value = 0;
-              fc_taken = false;
-              fc_state = Atomic.make 0;
-            })
-      in
-      {
-        fc_lock = Atomic.make false;
-        fc_slots = slots;
-        fc_flush = fc_flush store slots;
-      })
-
-(* Publish the put in this domain's slot, then either observe a
-   combiner apply it or become the combiner: win the stripe lock, take
-   every pending slot into one transaction (journal-marked with the
-   batch size, so journal accounting is per-request), release.  A
-   waiting owner that finds the lock free takes it itself, so nobody
-   waits on a sleeping combiner. *)
-let fc_put combs store ~flushes d k v =
-  let comb = combs.(Store.stripe_of store k) in
-  let slot = comb.fc_slots.(d) in
-  slot.fc_key <- k;
-  slot.fc_value <- v;
-  Atomic.set slot.fc_state 1;
-  let waiting = ref true in
-  while !waiting do
-    if Atomic.get slot.fc_state = 2 then begin
-      Atomic.set slot.fc_state 0;
-      waiting := false
-    end
-    else if Atomic.compare_and_set comb.fc_lock false true then begin
-      let slots = comb.fc_slots in
-      for i = 0 to Array.length slots - 1 do
-        slots.(i).fc_taken <- Atomic.get slots.(i).fc_state = 1
-      done;
-      Stm.atomically comb.fc_flush;
-      for i = 0 to Array.length slots - 1 do
-        let s = slots.(i) in
-        if s.fc_taken then begin
-          s.fc_taken <- false;
-          Atomic.set s.fc_state 2
-        end
-      done;
-      Atomic.set comb.fc_lock false;
-      Tel.Instrument.incr flushes;
-      Atomic.set slot.fc_state 0;
-      waiting := false
-    end
-    else Domain.cpu_relax ()
-  done
-
 (* {2 Serving a profile} *)
 
 type lat = { l_kind : string; l_snap : Tel.Instrument.hsnap }
@@ -173,7 +88,6 @@ type per_domain = {
   d_requests : int;
   d_admitted : int;
   d_shed : int;
-  d_batched : int;
   d_mutators : int;
 }
 
@@ -218,9 +132,6 @@ let run ?on_sample cfg =
   let requests = per "tm_serve_requests_total" "Requests generated" in
   let admitted = per "tm_serve_admitted_total" "Requests admitted" in
   let shed = per "tm_serve_shed_total" "Requests shed by admission" in
-  let batched =
-    per "tm_serve_batched_total" "Admitted puts routed through a combiner"
-  in
   let mutators = per "tm_serve_mutators_total" "Admitted mutating requests" in
   (* Indexed by [Workload.shape_kind]. *)
   let kinds = Array.of_list Workload.kinds in
@@ -234,7 +145,6 @@ let run ?on_sample cfg =
   in
   (* Measured, non-canonical: bare instruments, never scraped. *)
   let lat = Array.map (fun _ -> Tel.Instrument.histogram ()) kinds in
-  let flushes = Tel.Instrument.counter () in
   (* The open-loop recorder is registry-free on purpose: its samples are
      wall-clock measurements, and the canonical scrape must not see
      them. *)
@@ -245,7 +155,6 @@ let run ?on_sample cfg =
           ~domains:nd ())
       cfg.c_arrival
   in
-  let combs = fc_create store ~domains:nd in
   let scrape ts =
     match on_sample with
     | Some f -> f (Tel.Registry.scrape reg ~ts)
@@ -304,12 +213,7 @@ let run ?on_sample cfg =
           | Some r -> Tel.Latency_recorder.mark r d ~sched
           | None -> ());
           let start = now_ns () in
-          (match shape with
-          | Workload.Put when cfg.c_batching ->
-              Tel.Instrument.incr batched.(d);
-              fc_put combs store ~flushes d buf.Store.b_key.(0)
-                buf.Store.b_arg.(0)
-          | _ -> Stm.atomically body);
+          Stm.atomically body;
           let finish = now_ns () in
           Tel.Instrument.observe lat.(kind) (finish - start);
           match recorder with
@@ -340,7 +244,7 @@ let run ?on_sample cfg =
     s_requests = sum requests;
     s_admitted = sum admitted;
     s_shed = sum shed;
-    s_batched = sum batched;
+    s_batched = 0;
     s_mutators = mut_total;
     s_by_kind =
       List.mapi
@@ -352,7 +256,6 @@ let run ?on_sample cfg =
             d_requests = v requests d;
             d_admitted = v admitted d;
             d_shed = v shed d;
-            d_batched = v batched d;
             d_mutators = v mutators d;
           });
     s_journal_ok =
@@ -362,7 +265,7 @@ let run ?on_sample cfg =
     s_wall = wall;
     s_commits = commits1 - commits0;
     s_aborts = aborts1 - aborts0;
-    s_flushes = Tel.Instrument.value flushes;
+    s_flushes = 0;
     s_latency =
       List.mapi
         (fun i k ->
@@ -379,10 +282,10 @@ let to_json o =
   let b = Buffer.create 512 in
   Buffer.add_string b
     (Fmt.str
-       "{\"subsystem\":\"tmserve\",\"profile\":%S,\"algo\":%S,\"seed\":%d,\"domains\":%d,\"clients\":%d,\"ops_per_client\":%d,\"keys\":%d,\"stripes\":%d,\"batching\":%b,\"journal\":%b,\"queue_cap\":%d,\"arrival\":%s,\"requests\":%d,\"admitted\":%d,\"shed\":%d,\"batched_puts\":%d,\"mutators\":%d,\"journal_ok\":%b,\"conserved\":%b,\"by_kind\":{"
+       "{\"subsystem\":\"tmserve\",\"profile\":%S,\"algo\":%S,\"seed\":%d,\"domains\":%d,\"clients\":%d,\"ops_per_client\":%d,\"keys\":%d,\"stripes\":%d,\"journal\":%b,\"queue_cap\":%d,\"arrival\":%s,\"requests\":%d,\"admitted\":%d,\"shed\":%d,\"mutators\":%d,\"journal_ok\":%b,\"conserved\":%b,\"by_kind\":{"
        (Workload.profile_name cfg.c_profile)
        (Stm.Algo.name cfg.c_algo) cfg.c_seed cfg.c_domains cfg.c_clients
-       cfg.c_ops cfg.c_keys cfg.c_stripes cfg.c_batching cfg.c_journal
+       cfg.c_ops cfg.c_keys cfg.c_stripes cfg.c_journal
        cfg.c_queue_cap
        (match cfg.c_arrival with
        | None -> "{\"kind\":\"closed\"}"
@@ -390,8 +293,8 @@ let to_json o =
            Fmt.str "{\"kind\":%S,\"rate\":%.1f}"
              (Arrival.kind_name (Arrival.kind a))
              (Arrival.rate a))
-       o.s_requests o.s_admitted o.s_shed o.s_batched
-       o.s_mutators o.s_journal_ok o.s_conserved);
+       o.s_requests o.s_admitted o.s_shed o.s_mutators o.s_journal_ok
+       o.s_conserved);
   List.iteri
     (fun i (k, n) ->
       if i > 0 then Buffer.add_char b ',';
@@ -403,8 +306,8 @@ let to_json o =
       if d > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Fmt.str
-           "{\"domain\":%d,\"requests\":%d,\"admitted\":%d,\"shed\":%d,\"batched\":%d,\"mutators\":%d}"
-           d pd.d_requests pd.d_admitted pd.d_shed pd.d_batched pd.d_mutators))
+           "{\"domain\":%d,\"requests\":%d,\"admitted\":%d,\"shed\":%d,\"mutators\":%d}"
+           d pd.d_requests pd.d_admitted pd.d_shed pd.d_mutators))
     o.s_per_domain;
   Buffer.add_string b "]}";
   Buffer.contents b
@@ -413,21 +316,20 @@ let pp_summary ppf o =
   let cfg = o.s_config in
   Fmt.pf ppf
     "@[<v>tmserve profile=%s algo=%s domains=%d seed=%d clients=%d \
-     ops/client=%d batching=%b journal=%b@,"
+     ops/client=%d journal=%b@,"
     (Workload.profile_name cfg.c_profile)
     (Stm.Algo.name cfg.c_algo) cfg.c_domains cfg.c_seed cfg.c_clients
-    cfg.c_ops cfg.c_batching cfg.c_journal;
-  Fmt.pf ppf
-    "requests %d: admitted %d, shed %d (batched puts %d, mutators %d)@,"
-    o.s_requests o.s_admitted o.s_shed o.s_batched o.s_mutators;
+    cfg.c_ops cfg.c_journal;
+  Fmt.pf ppf "requests %d: admitted %d, shed %d (mutators %d)@,"
+    o.s_requests o.s_admitted o.s_shed o.s_mutators;
   List.iter
     (fun (k, n) -> if n > 0 then Fmt.pf ppf "  admitted %-4s %d@," k n)
     o.s_by_kind;
   Fmt.pf ppf
-    "measured: wall %.3fs, %.0f adm/s, commits %d, aborts %d, flushes %d@,"
+    "measured: wall %.3fs, %.0f adm/s, commits %d, aborts %d@,"
     o.s_wall
     (float_of_int o.s_admitted /. Float.max 1e-9 o.s_wall)
-    o.s_commits o.s_aborts o.s_flushes;
+    o.s_commits o.s_aborts;
   List.iter
     (fun l ->
       if l.l_snap.Tel.Instrument.count > 0 then
@@ -447,10 +349,10 @@ let pp_summary ppf o =
 (* {2 Chaos against the serving path} *)
 
 (* A chaos executor cycles its client rotation forever (a starving
-   domain never finishes a fixed quota), with admission and batching
-   off and the journal marked on {e every} request: even a pure get
-   writes the journal, the t-variable every domain shares, so the
-   runner's per-algorithm expectations carry over to the serving path
+   domain never finishes a fixed quota), with admission off and the
+   journal marked on {e every} request: even a pure get writes the
+   journal, the t-variable every domain shares, so the runner's
+   per-algorithm expectations carry over to the serving path
    verbatim. *)
 let chaos_workload cfg =
   let make ~domains =

@@ -1,6 +1,6 @@
 (** The serving path: per-domain executors over a {!Store}, driven by a
-    deterministic {!Workload} population, with admission control and
-    hot-stripe commit batching.
+    deterministic {!Workload} population, with admission control.  Every
+    admitted request commits as exactly one transaction.
 
     {2 Determinism discipline}
 
@@ -11,10 +11,10 @@
     domain's request stream), per-kind admitted counts, how many
     mutators committed through the journal, and the conservation
     invariant of the counter plane.  Wall-clock throughput, latency
-    quantiles, commit/abort totals and combiner flush counts are real
-    measurements and therefore {e informational}: they appear in the
-    human summary and in [BENCH_serve.json], never in the canonical
-    JSON or the canonical telemetry scrape.
+    quantiles and commit/abort totals are real measurements and
+    therefore {e informational}: they appear in the human summary and
+    in [BENCH_serve.json], never in the canonical JSON or the canonical
+    telemetry scrape.
 
     {2 Admission}
 
@@ -31,16 +31,7 @@
     per-domain op buffer only if the request is admitted, then runs the
     buffer with {!Store.exec_buf} through one transaction body built
     before the loop.  A shed request costs one draw and no
-    allocation.
-
-    {2 Batching}
-
-    With batching on, admitted single-key puts go through a per-stripe
-    flat combiner: the executor publishes (key, value) in its slot and
-    either waits for a combiner to apply it or acquires the stripe's
-    combiner lock itself and drains {e all} pending slots into one
-    transaction.  Under a hot Zipfian stripe this turns k conflicting
-    one-put transactions into one k-put transaction. *)
+    allocation.  A put takes the same path as every other kind. *)
 
 val drain_units : int
 (** Queue units drained per arriving request (12). *)
@@ -54,7 +45,6 @@ type config = {
   c_ops : int;  (** closed-loop rounds: requests per client *)
   c_keys : int;
   c_stripes : int;
-  c_batching : bool;
   c_journal : bool;
   c_queue_cap : int;  (** admission capacity in cost units *)
   c_arrival : Arrival.t option;
@@ -68,7 +58,6 @@ val config :
   ?ops:int ->
   ?keys:int ->
   ?stripes:int ->
-  ?batching:bool ->
   ?journal:bool ->
   ?queue_cap:int ->
   ?arrival:Arrival.t ->
@@ -78,7 +67,7 @@ val config :
   unit ->
   config
 (** Defaults: tl2, 10000 clients, 4 ops/client, 1024 keys, 64 stripes,
-    batching on, journal off, queue_cap 2048, closed loop.
+    journal off, queue_cap 2048, closed loop.
     @raise Invalid_argument on [domains < 1], [clients < domains],
     [ops < 1], [keys < 4] or [queue_cap < 1]. *)
 
@@ -106,7 +95,6 @@ type per_domain = {
   d_requests : int;
   d_admitted : int;
   d_shed : int;
-  d_batched : int;
   d_mutators : int;
 }
 
@@ -116,7 +104,8 @@ type outcome = {
   s_requests : int;
   s_admitted : int;
   s_shed : int;
-  s_batched : int;  (** admitted single puts routed through combiners *)
+  s_batched : int;
+      (** always 0: every admitted request commits its own transaction *)
   s_mutators : int;  (** admitted mutating requests *)
   s_by_kind : (string * int) list;  (** admitted, in {!Workload.kinds} order *)
   s_per_domain : per_domain array;
@@ -130,7 +119,7 @@ type outcome = {
   s_wall : float;
   s_commits : int;
   s_aborts : int;
-  s_flushes : int;  (** combiner flush transactions *)
+  s_flushes : int;  (** always 0, like [s_batched] *)
   s_latency : lat list;  (** per kind, {!Workload.kinds} order *)
   s_open : Tm_telemetry.Latency_recorder.summary option;
       (** open-loop latency (queueing/service/sojourn from the scheduled
@@ -153,7 +142,7 @@ val run :
     [ts = total_requests config] after they join.  The scraped registry
     holds only deterministic instruments ([tm_serve_requests_total],
     [tm_serve_admitted_total], [tm_serve_shed_total],
-    [tm_serve_batched_total], [tm_serve_mutators_total] per domain and
+    [tm_serve_mutators_total] per domain and
     [tm_serve_admitted_kind_total] per kind), so for a fixed
     (profile, seed, domains, algo) the export is byte-deterministic —
     latency histograms are measured and deliberately kept out. *)
@@ -165,7 +154,7 @@ val to_json : outcome -> string
 
 val pp_summary : Format.formatter -> outcome -> unit
 (** The human summary: canonical counts {e plus} the measured
-    throughput/latency/abort/flush numbers. *)
+    throughput/latency/commit/abort numbers. *)
 
 (** {2 Chaos against the serving path} *)
 
@@ -173,8 +162,8 @@ val chaos_workload : config -> Tm_chaos.Runner.workload
 (** The serving path as a {!Tm_chaos.Runner} workload, named
     [serve[<profile>]]: each plan slot is an executor that cycles its
     client rotation ([c_clients], at least one per slot, [c_ops]
-    rounds) forever, with admission and batching off, and runs each
-    request's ops in one transaction that also marks the journal.  The
+    rounds) forever, with admission off, and runs each request's ops
+    in one transaction that also marks the journal.  The
     journal is the t-variable every slot shares, so a crash holding
     commit locks strands the whole peer set, as the per-algorithm
     expectations in {!Tm_chaos.Plan} describe.  The plan's algo and

@@ -3,9 +3,8 @@ module Stm = Tm_stm.Stm
 type t = {
   st_keys : int;
   st_stripes : int;
-  (* st_dirs.(s).(i) holds key [i * stripes + s]: per-stripe key
-     directories, so everything a combiner drains into one transaction
-     lives in one directory. *)
+  (* st_dirs.(s).(i) holds key [i * stripes + s]: one key directory
+     per stripe. *)
   st_dirs : int Stm.tvar array array;
   st_journal : int Stm.tvar option;
 }
@@ -25,8 +24,6 @@ let create ?(stripes = 64) ?(journal = false) ~keys () =
   }
 
 let keys t = t.st_keys
-let stripes t = t.st_stripes
-let stripe_of t k = k mod t.st_stripes
 
 let slot t k =
   if k < 0 || k >= t.st_keys then invalid_arg "Store: key out of range";
@@ -55,8 +52,6 @@ let exec_op t = function
         R_bool true
       end
       else R_bool false
-
-let write_key t k v = Stm.write (slot t k) v
 
 type tag = B_get | B_put | B_add | B_cas
 

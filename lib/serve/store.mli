@@ -8,11 +8,11 @@
 
     An optional {e journal} t-variable turns every mutating transaction
     into a conflict on one shared location: the serving path marks the
-    journal with the number of mutating requests a commit applies, which
-    (a) makes mutators conflict-universal — the property the chaos
+    journal once per mutating request it commits, which (a) makes
+    mutators conflict-universal — the property the chaos
     crash-holding-locks verdicts rely on — and (b) leaves the journal's
     final value equal to the number of admitted mutating requests, a
-    deterministic quantity even under flat-combined batching. *)
+    deterministic quantity whatever the interleaving. *)
 
 type t
 
@@ -24,9 +24,6 @@ val create : ?stripes:int -> ?journal:bool -> keys:int -> unit -> t
     @raise Invalid_argument if [keys < 1]. *)
 
 val keys : t -> int
-val stripes : t -> int
-val stripe_of : t -> int -> int
-(** The stripe owning a key. *)
 
 (** {2 Transactional operations}
 
@@ -83,9 +80,6 @@ val exec_buf : t -> buf -> unit
     in order, then {!journal_mark} once if any op mutates.  Results are
     discarded; allocates nothing beyond what the core's reads and writes
     do. *)
-
-val write_key : t -> int -> int -> unit
-(** Raw in-transaction write, for the flat combiner's drain loop. *)
 
 val journal_mark : t -> int -> unit
 (** In-transaction: bump the journal by [n] requests.  No-op when the

@@ -308,9 +308,9 @@ let test_store_differential_concurrent () =
 (* Server: canonical document and admission model. *)
 
 let small_cfg ?(profile = Workload.Read_mostly) ?(algo = Stm.Algo.Tl2)
-    ?(domains = 4) ?(batching = true) ?(journal = false) () =
-  Server.config ~algo ~clients:400 ~ops:3 ~keys:128 ~stripes:16 ~batching
-    ~journal ~profile ~seed:42 ~domains ()
+    ?(domains = 4) ?(journal = false) () =
+  Server.config ~algo ~clients:400 ~ops:3 ~keys:128 ~stripes:16 ~journal
+    ~profile ~seed:42 ~domains ()
 
 let test_server_canonical_deterministic () =
   let cfg = small_cfg () in
@@ -336,25 +336,24 @@ let test_server_counts () =
   Alcotest.(check int) "per-domain admitted sum" o.Server.s_admitted
     (agg (fun d -> d.Server.d_admitted))
 
-let test_server_batching_invariant () =
-  (* Batching changes transaction shapes, never the canonical
-     admission outcome: only the batched-put count may differ, and
-     with batching off it is exactly 0. *)
-  let on = Server.run (small_cfg ~profile:Workload.Write_heavy ())
-  and off =
-    Server.run (small_cfg ~profile:Workload.Write_heavy ~batching:false ())
-  in
-  Alcotest.(check int) "admitted unchanged" on.Server.s_admitted
-    off.Server.s_admitted;
-  Alcotest.(check int) "shed unchanged" on.Server.s_shed off.Server.s_shed;
-  Alcotest.(check int) "mutators unchanged" on.Server.s_mutators
-    off.Server.s_mutators;
-  Alcotest.(check bool) "by-kind unchanged" true
-    (on.Server.s_by_kind = off.Server.s_by_kind);
-  Alcotest.(check int) "no combining when batching is off" 0
-    off.Server.s_batched;
-  Alcotest.(check bool) "hot write-heavy load does combine" true
-    (on.Server.s_batched > 0)
+let test_server_one_commit_per_request () =
+  (* Every admitted request, single puts included, runs as its own
+     transaction: the commit count equals the admitted count under every
+     core, even on the conflict-heavy profile where aborts and retries
+     happen. *)
+  List.iter
+    (fun algo ->
+      let name = Stm.Algo.name algo in
+      let o =
+        Server.run
+          (small_cfg ~profile:Workload.Write_heavy ~algo ~domains:2 ())
+      in
+      Alcotest.(check int)
+        (name ^ " commits = admitted")
+        o.Server.s_admitted o.Server.s_commits;
+      Alcotest.(check int) (name ^ " no batched puts") 0 o.Server.s_batched;
+      Alcotest.(check int) (name ^ " no flushes") 0 o.Server.s_flushes)
+    Stm.Algo.all
 
 let test_server_long_txn_sheds () =
   let o = Server.run (small_cfg ~profile:Workload.Long_txn ()) in
@@ -406,15 +405,15 @@ let test_server_admission_matches_iter () =
     o.Server.s_by_kind
 
 let test_server_spec_conformance () =
-  (* domains=1, batching off: replay the admitted stream through the
-     sequential-map spec; the store must end byte-equal.  The run
-     executes from the flat op buffer, the replay from the decoded
-     lists, so this holds [Store.exec_buf] to [Store.spec_op]. *)
+  (* domains=1: replay the admitted stream through the sequential-map
+     spec; the store must end byte-equal.  The run executes from the
+     flat op buffer, the replay from the decoded lists, so this holds
+     [Store.exec_buf] to [Store.spec_op]. *)
   List.iter
     (fun profile ->
       let cfg =
-        Server.config ~clients:300 ~ops:3 ~keys:64 ~stripes:8 ~batching:false
-          ~journal:true ~profile ~seed:11 ~domains:1 ()
+        Server.config ~clients:300 ~ops:3 ~keys:64 ~stripes:8 ~journal:true
+          ~profile ~seed:11 ~domains:1 ()
       in
       let o = Server.run cfg in
       let name = Workload.profile_name profile in
@@ -719,8 +718,8 @@ let () =
           Alcotest.test_case "canonical json byte-deterministic" `Quick
             test_server_canonical_deterministic;
           Alcotest.test_case "count invariants" `Quick test_server_counts;
-          Alcotest.test_case "batching leaves canon unchanged" `Quick
-            test_server_batching_invariant;
+          Alcotest.test_case "one commit per admitted request" `Quick
+            test_server_one_commit_per_request;
           Alcotest.test_case "long-txn sheds deterministically" `Quick
             test_server_long_txn_sheds;
           Alcotest.test_case "admission matches pure replay" `Quick
