@@ -1024,29 +1024,39 @@ let p4_parallel_sweep () =
     (Tm_sim.Sweep.by_tm seq)
 
 (* ------------------------------------------------------------------ *)
-(* P5: tracing overhead — the flag-off hot path must cost nothing
-   measurable, the null sink must stay within noise, and the ring sink
-   must stay bounded (drop, not grow).  Wall-clock timings use a
-   min-of-3-trials protocol to shave scheduler noise; see
-   EXPERIMENTS.md §P5. *)
+(* The seam-overhead sections (P5, P7, P8, P10) share one workload: a
+   warmed-up loop of [seam_iters] single-domain increments on a fresh
+   t-variable, timed min-of-3-trials to shave scheduler noise. *)
 
-let p5_trace_overhead () =
-  section "P5" "tracing overhead: off vs null sink vs ring sink";
-  let iters = 200_000 in
+let seam_iters = 200_000
+
+let time_once f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  Unix.gettimeofday () -. t0
+
+let min3 f = List.fold_left min infinity (List.init 3 (fun _ -> time_once f))
+let per_txn t = 1e9 *. t /. float_of_int seam_iters
+
+let increments () =
   let v = Tm_stm.Stm.tvar 0 in
   let work () =
-    for _ = 1 to iters do
+    for _ = 1 to seam_iters do
       Tm_stm.Stm.atomically (fun () ->
           Tm_stm.Stm.write v (Tm_stm.Stm.read v + 1))
     done
   in
-  let time_once f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let min3 f = List.fold_left min infinity (List.init 3 (fun _ -> time_once f)) in
   work () (* warm-up *);
+  work
+
+(* ------------------------------------------------------------------ *)
+(* P5: tracing overhead — the flag-off hot path must cost nothing
+   measurable, the null sink must stay within noise, and the ring sink
+   must stay bounded (drop, not grow).  See EXPERIMENTS.md §P5. *)
+
+let p5_trace_overhead () =
+  section "P5" "tracing overhead: off vs null sink vs ring sink";
+  let work = increments () in
   let t_off = min3 work in
   Tm_stm.Stm.Trace.start_null ();
   let t_null = min3 work in
@@ -1060,11 +1070,10 @@ let p5_trace_overhead () =
   Tm_stm.Stm.Trace.stop ();
   let ring_retained = List.length (Tm_stm.Stm.Trace.events ()) in
   let ring_dropped = Tm_stm.Stm.Trace.dropped () in
-  let per_txn t = 1e9 *. t /. float_of_int iters in
   (* null_emitted spans the 3 timed trials; t_null is one trial. *)
   let events_per_trial = float_of_int null_emitted /. 3.0 in
   let null_ns_per_event = 1e9 *. (t_null -. t_off) /. events_per_trial in
-  Fmt.pr "  %d single-domain increments, min of 3 trials:@." iters;
+  Fmt.pr "  %d single-domain increments, min of 3 trials:@." seam_iters;
   Fmt.pr "    tracing off   %.4fs (%5.1f ns/txn)@." t_off (per_txn t_off);
   Fmt.pr
     "    null sink     %.4fs (%5.1f ns/txn, %.2fx, %d events emitted, \
@@ -1165,21 +1174,7 @@ let p6_analysis () =
 
 let p7_chaos_overhead () =
   section "P7" "chaos hooks: disarmed vs no-op handler on the Stm hot path";
-  let iters = 200_000 in
-  let v = Tm_stm.Stm.tvar 0 in
-  let work () =
-    for _ = 1 to iters do
-      Tm_stm.Stm.atomically (fun () ->
-          Tm_stm.Stm.write v (Tm_stm.Stm.read v + 1))
-    done
-  in
-  let time_once f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let min3 f = List.fold_left min infinity (List.init 3 (fun _ -> time_once f)) in
-  work () (* warm-up *);
+  let work = increments () in
   let t_off = min3 work in
   (* Count the interception points one trial fires (a counting handler,
      outside the timed runs). *)
@@ -1194,11 +1189,10 @@ let p7_chaos_overhead () =
   let t_armed = min3 work in
   Tm_stm.Stm.Chaos.uninstall ();
   let t_disarmed = min3 work in
-  let per_txn t = 1e9 *. t /. float_of_int iters in
   let armed_ns_per_event =
     1e9 *. (t_armed -. t_off) /. float_of_int events_per_trial
   in
-  Fmt.pr "  %d single-domain increments, min of 3 trials:@." iters;
+  Fmt.pr "  %d single-domain increments, min of 3 trials:@." seam_iters;
   Fmt.pr "    hooks disarmed  %.4fs (%5.1f ns/txn)@." t_off (per_txn t_off);
   Fmt.pr
     "    no-op handler   %.4fs (%5.1f ns/txn, %.2fx, %d points/trial, %.1f \
@@ -1209,7 +1203,7 @@ let p7_chaos_overhead () =
     (per_txn t_disarmed)
     (t_disarmed /. t_off);
   check "every commit fires lock/validate/pre/post points" ~paper:true
-    ~measured:(events_per_trial >= 4 * iters);
+    ~measured:(events_per_trial >= 4 * seam_iters);
   check "armed no-op dispatch cheap per event (< 100 ns/event)" ~paper:true
     ~measured:(armed_ns_per_event < 100.0);
   (* Uninstall must restore the baseline: the disarmed run after the
@@ -1218,7 +1212,7 @@ let p7_chaos_overhead () =
     ~measured:(t_disarmed /. t_off < 1.5)
 
 (* ------------------------------------------------------------------ *)
-(* P8: telemetry overhead — the Stm.Tel probe seam must cost nothing
+(* P8: telemetry overhead — the Stm.Obs seam must cost nothing
    measurable while disarmed (one relaxed Atomic.get per potential
    event, the P5/P7 contract), stay under 100 ns/event when armed with
    the real registry-backed probe, and a registry scrape must read
@@ -1227,34 +1221,23 @@ let p7_chaos_overhead () =
 
 let p8_telemetry_overhead () =
   section "P8" "telemetry: disarmed vs armed Stm probe, scrape cost";
-  let iters = 200_000 in
-  let v = Tm_stm.Stm.tvar 0 in
-  let work () =
-    for _ = 1 to iters do
-      Tm_stm.Stm.atomically (fun () ->
-          Tm_stm.Stm.write v (Tm_stm.Stm.read v + 1))
-    done
-  in
-  let time_once f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let min3 f = List.fold_left min infinity (List.init 3 (fun _ -> time_once f)) in
-  work () (* warm-up *);
+  let work = increments () in
   let t_off = min3 work in
-  (* Count the probe events one trial fires (a counting probe, outside
-     the timed runs). *)
+  (* Count the events one trial delivers that the registry probe
+     consumes (a counting observer, outside the timed runs); the probe
+     ignores every other site. *)
   let fired = Atomic.make 0 in
-  Tm_stm.Stm.Tel.install
-    {
-      Tm_stm.Stm.Tel.now = (fun () -> 0);
-      count = (fun _ -> Atomic.incr fired);
-      observe = (fun _ _ -> Atomic.incr fired);
-    };
+  let counting =
+    Tm_stm.Stm.Obs.subscribe (fun site _ _ ->
+        match site with
+        | Tm_stm.Stm.Obs.Begin | Read | Lock_time | Validate_time
+        | Publish_time | Commit | Abort | Retry ->
+            Atomic.incr fired
+        | _ -> ())
+  in
   work ();
   let events_per_trial = Atomic.get fired in
-  Tm_stm.Stm.Tel.uninstall ();
+  Tm_stm.Stm.Obs.unsubscribe counting;
   (* The real thing: registry-backed counters and ns histograms, the
      monotonic clock included. *)
   let reg = Tm_telemetry.Registry.create () in
@@ -1262,14 +1245,13 @@ let p8_telemetry_overhead () =
   let t_armed = min3 work in
   Tm_telemetry.Stm_probe.uninstall ();
   let t_disarmed = min3 work in
-  let per_txn t = 1e9 *. t /. float_of_int iters in
   let armed_ns_per_event =
     1e9 *. (t_armed -. t_off) /. float_of_int events_per_trial
   in
   let disarmed_ns_per_event =
     1e9 *. (t_disarmed -. t_off) /. float_of_int events_per_trial
   in
-  Fmt.pr "  %d single-domain increments, min of 3 trials:@." iters;
+  Fmt.pr "  %d single-domain increments, min of 3 trials:@." seam_iters;
   Fmt.pr "    probe disarmed  %.4fs (%5.1f ns/txn)@." t_off (per_txn t_off);
   Fmt.pr
     "    registry probe  %.4fs (%5.1f ns/txn, %.2fx, %d events/trial, %.1f \
@@ -1281,7 +1263,7 @@ let p8_telemetry_overhead () =
     (per_txn t_disarmed)
     (t_disarmed /. t_off) disarmed_ns_per_event;
   check "begin/read/commit and timed phases all fire" ~paper:true
-    ~measured:(events_per_trial >= 4 * iters);
+    ~measured:(events_per_trial >= 4 * seam_iters);
   check "disarmed seam costs nothing measurable (< 100 ns/event)"
     ~paper:true
     ~measured:(disarmed_ns_per_event < 100.0);
@@ -1602,7 +1584,7 @@ let p9_zoo_separation () =
       cores
 
 (* ------------------------------------------------------------------ *)
-(* P10: blame-attribution overhead — the Stm.Blame seam must cost
+(* P10: blame-attribution overhead — the Stm.Blame subscriber must cost
    nothing measurable while disarmed (decision sites check one atomic
    flag and only on abort paths; the progress watermark adds one
    disarmed load per commit), stay under 100 ns/event when armed with
@@ -1614,20 +1596,7 @@ let p9_zoo_separation () =
 let p10_blame_overhead () =
   let module Stm = Tm_stm.Stm in
   section "P10" "blame: disarmed vs armed attribution seam, stolen edges";
-  let iters = 200_000 in
-  let v = Stm.tvar 0 in
-  let work () =
-    for _ = 1 to iters do
-      Stm.atomically (fun () -> Stm.write v (Stm.read v + 1))
-    done
-  in
-  let time_once f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let min3 f = List.fold_left min infinity (List.init 3 (fun _ -> time_once f)) in
-  work () (* warm-up *);
+  let work = increments () in
   let t_off = min3 work in
   (* A counting sink: uncontended single-domain increments produce no
      blame edges, so what fires per commit is the progress watermark —
@@ -1643,14 +1612,13 @@ let p10_blame_overhead () =
   let t_armed = min3 work in
   Stm.Blame.uninstall ();
   let t_disarmed = min3 work in
-  let per_txn t = 1e9 *. t /. float_of_int iters in
   let armed_ns_per_event =
     1e9 *. (t_armed -. t_off) /. float_of_int events_per_trial
   in
   let disarmed_ns_per_event =
     1e9 *. (t_disarmed -. t_off) /. float_of_int events_per_trial
   in
-  Fmt.pr "  %d single-domain increments, min of 3 trials:@." iters;
+  Fmt.pr "  %d single-domain increments, min of 3 trials:@." seam_iters;
   Fmt.pr "    seam disarmed   %.4fs (%5.1f ns/txn)@." t_off (per_txn t_off);
   Fmt.pr
     "    counting sink   %.4fs (%5.1f ns/txn, %.2fx, %d events/trial, %.1f \
@@ -1662,7 +1630,7 @@ let p10_blame_overhead () =
     (t_disarmed /. t_off)
     disarmed_ns_per_event;
   check "every commit ticks the progress watermark" ~paper:true
-    ~measured:(events_per_trial >= iters);
+    ~measured:(events_per_trial >= seam_iters);
   check "disarmed blame seam costs nothing measurable (< 100 ns/event)"
     ~paper:true
     ~measured:(disarmed_ns_per_event < 100.0);
@@ -1723,12 +1691,12 @@ let p10_blame_overhead () =
   output_string oc
     (Fmt.str
        "{\"experiment\":\"P10\",\"claim\":\"blame seam free when disarmed, \
-        truthful when armed\",\"iters\":%d,\"seam\":{\"baseline_s\":%.4f,\
+        truthful when armed\",\"seam_iters\":%d,\"seam\":{\"baseline_s\":%.4f,\
         \"armed_s\":%.4f,\"uninstalled_s\":%.4f,\"events_per_trial\":%d,\
         \"armed_ns_per_event\":%.1f,\"disarmed_ns_per_event\":%.1f},\
         \"separation\":{\"iters_per_domain\":%d,\"dstm_stolen\":%d,\
         \"tl2_stolen\":%d,\"holds\":%b}}\n"
-       iters t_off t_armed t_disarmed events_per_trial armed_ns_per_event
+       seam_iters t_off t_armed t_disarmed events_per_trial armed_ns_per_event
        disarmed_ns_per_event iters2 dstm_stolen tl2_stolen
        (dstm_stolen > 0 && tl2_stolen = 0));
   close_out oc;

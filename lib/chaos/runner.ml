@@ -103,8 +103,8 @@ let handler point =
         | Plan.Healthy | Plan.Parasitic _ -> Stm.Chaos.Proceed
         | Plan.Crash { at_op; holding_locks } ->
             let trigger =
-              if holding_locks then point = Stm.Chaos.Pre_commit
-              else point = Stm.Chaos.Read
+              if holding_locks then point = Stm.Obs.Pre_commit
+              else point = Stm.Obs.Read
             in
             if trigger && n >= at_op then Stm.Chaos.Crash
             else Stm.Chaos.Proceed
@@ -112,7 +112,7 @@ let handler point =
             if n mod period = 0 then Stm.Chaos.Stall spins
             else Stm.Chaos.Proceed
         | Plan.Abort_storm { from_op; until_op } ->
-            if point = Stm.Chaos.Read && n >= from_op && n < until_op then
+            if point = Stm.Obs.Read && n >= from_op && n < until_op then
               Stm.Chaos.Abort
             else Stm.Chaos.Proceed
       in
@@ -251,7 +251,7 @@ let with_session ?(workload = hot_set ~tvars:4) ?(blame = false)
   in
   let per name help =
     Array.init nd (fun d ->
-        Tel.Registry.counter reg ~shards:1
+        Tel.Registry.counter reg
           ~labels:[ ("domain", string_of_int d) ]
           ~help name)
   in
@@ -343,13 +343,11 @@ let with_session ?(workload = hot_set ~tvars:4) ?(blame = false)
     blame_graph;
   Fun.protect
     ~finally:(fun () ->
-      Stm.Chaos.uninstall ();
-      if blame then Stm.Blame.uninstall ();
-      (* Workers are joined by now: release core-global locks stranded
-         by crashed domains (the serializer, the sequence lock), so a
-         crash run cannot starve every later run of the same core in
-         this process.  Must happen while the plan's core is still the
-         selected one. *)
+      (* Workers are joined by now: drop the plan (and the blame sink)
+         and release core-global locks stranded by crashed domains (the
+         serializer, the sequence lock), so a crash run cannot starve
+         every later run of the same core in this process.  Must happen
+         while the plan's core is still the selected one. *)
       Stm.recover ();
       Stm.set_algo prev_algo)
     (fun () ->

@@ -69,14 +69,14 @@ let rung ?on_sample ~quantum ~kind ~rung_index rate (cfg : Server.config) wl =
   let cap_ns = cfg.Server.c_queue_cap * quantum in
   let reg = Tel.Registry.create () in
   let admitted_c =
-    Tel.Registry.counter reg ~shards:1 ~help:"Requests admitted (model)"
+    Tel.Registry.counter reg ~help:"Requests admitted (model)"
       "tm_loadcurve_admitted_total"
   in
   let shed_c =
-    Tel.Registry.counter reg ~shards:1 ~help:"Requests shed (model)"
+    Tel.Registry.counter reg ~help:"Requests shed (model)"
       "tm_loadcurve_shed_total"
   in
-  let hist name help = Tel.Registry.hires reg ~shards:1 ~help name in
+  let hist name help = Tel.Registry.hires reg ~help name in
   let queueing_h =
     hist "tm_loadcurve_queueing_ns" "Arrival to service start (virtual)"
   in

@@ -125,7 +125,7 @@ let run ?on_sample cfg =
   let reg = Tel.Registry.create () in
   let per name help =
     Array.init nd (fun d ->
-        Tel.Registry.counter reg ~shards:1
+        Tel.Registry.counter reg
           ~labels:[ ("domain", string_of_int d) ]
           ~help name)
   in

@@ -16,12 +16,12 @@ let rules =
       id = Rule_contract.rule;
       severity = Tm_analysis.Finding.Error;
       doc =
-        "a core's seam emissions disagree with the Algo announcement tables";
+        "a core's reachable observation sites disagree with Algo.sites";
     };
     {
       id = Rule_guard.rule;
       severity = Tm_analysis.Finding.Error;
-      doc = "a seam emission is not dominated by its Atomic.get armed guard";
+      doc = "a seam dispatch is not dominated by the armed-word check";
     };
     {
       id = Rule_purity.rule;
@@ -31,7 +31,7 @@ let rules =
     {
       id = Rule_leak.rule;
       severity = Tm_analysis.Finding.Error;
-      doc = "a seam armed by a test without a paired uninstall/recover";
+      doc = "a seam subscription without a paired release or recover";
     };
     {
       id = parse_rule;
@@ -180,11 +180,13 @@ let run ?(rules = rule_ids) ~root () =
                    contract.Seam.c_core_files
                in
                if wants Rule_contract.rule then
-                 add (Rule_contract.check ~vocab ~contract ~facade_src cores);
-               if wants Rule_guard.rule then begin
-                 add (Rule_guard.check facade_src);
-                 List.iter (fun (_, src) -> add (Rule_guard.check src)) cores
-               end
+                 add
+                   (Rule_contract.check ~vocab ~contract ~substrate:core_src
+                      ~facade_src cores);
+               if wants Rule_guard.rule then
+                 List.iter
+                   (fun src -> add (Rule_guard.check src))
+                   (core_src :: facade_src :: List.map snd cores)
            | (Error msg, _ | _, Error msg) -> parse_failure "lib/stm" msg)
        | _ -> ());
     (* Purity: transaction call sites across the tree. *)

@@ -1,164 +1,121 @@
-(* seam-guard: every seam emission must be dominated by its disarmed
-   check — the one [Atomic.get X.armed] (or [Atomic.get Trace.tracing])
-   load that keeps the hot path under 100 ns/event when nothing is
-   installed (bench §P7/P8/P10).  An emission that skips the guard
-   loads handler/probe/sink state unconditionally and silently breaks
-   that budget on every disarmed run.
+(* seam-guard: every dispatch into the observation seam must be
+   dominated by the armed-word check — the one [Atomic.get Obs.armed]
+   load that keeps the hot path under 100 ns/event while nothing is
+   subscribed (bench §P5/P7/P8/P10).  A dispatch that skips the check
+   loads the registry (or reads the clock) unconditionally and silently
+   breaks that budget on every disarmed run.
 
-   The domination analysis is lexical: a set of established guard
-   facts flows through let/sequence/if/match/closure structure.
-   Recognized guard facts:
-   - [Atomic.get Chaos.armed] / [Tel.armed] / [Blame.armed] /
-     [Trace.tracing] (any qualification depth);
-   - a variable let-bound to an expression carrying guard facts
-     ([let tel = Atomic.get Tel.armed in ... if tel then ...]);
-   - conjunctions contribute the union of both sides' facts
-     ([if stolen && Atomic.get Blame.armed then ...]).
+   The domination analysis is lexical: guard facts flow through
+   let/sequence/if/match/closure structure.  A condition establishes
+   the fact when it tests the armed word against 0 — [w <> 0] or
+   [w land bits <> 0] — where [w] is [Atomic.get Obs.armed] itself or
+   a variable let-bound to it ([let m = Atomic.get Obs.armed in ... if
+   m <> 0 then ...]); a conjunction establishes it if either side
+   does.
 
-   Emissions checked:
-   - [Chaos.fire] / [Chaos.decide] applications        (needs Chaos)
-   - [Blame.emit] / [Blame.emit_event] applications    (needs Blame)
-   - [Trace.emit] applications                         (needs Trace)
-   - probe-field applications [_.Tel.count] / [_.Tel.observe] /
-     [_.Tel.now]                                       (needs Tel)
-
-   [Blame.progress] and [Blame.self] are not emissions: progress
-   checks [armed] internally, self is pure DLS. *)
+   Dispatches checked: applications of [Obs.emit], [Obs.fire],
+   [Obs.decide], [Obs.lap], [Obs.now], [Obs.start] and [Obs.finish].
+   [Obs.self] is not one: it is pure DLS. *)
 
 open Parsetree
 
 let rule = "seam-guard"
+let dispatches = [ "emit"; "fire"; "decide"; "lap"; "now"; "start"; "finish" ]
 
-module Guards = Set.Make (String)
-
-type seam = G_chaos | G_tel | G_blame | G_trace
-
-let seam_fact = function
-  | G_chaos -> "Chaos"
-  | G_tel -> "Tel"
-  | G_blame -> "Blame"
-  | G_trace -> "Trace"
-
-let guard_expr_label = function
-  | G_trace -> "Atomic.get Trace.tracing"
-  | s -> Fmt.str "Atomic.get %s.armed" (seam_fact s)
-
-(* The guard facts an expression establishes when it evaluates to
-   [true]: used both for if-conditions and for let-bound guards.
-   [env] resolves variables already bound to guard facts. *)
-let rec facts_of env (e : expression) =
+let is_ident name (e : expression) =
   match e.pexp_desc with
-  | Pexp_ident { Location.txt = Longident.Lident v; _ } -> (
-      match List.assoc_opt v env with Some fs -> fs | None -> Guards.empty)
+  | Pexp_ident { Location.txt = Longident.Lident v; _ } -> v = name
+  | _ -> false
+
+(* [Atomic.get Obs.armed], or a variable bound to it. *)
+let rec is_word words (e : expression) =
+  match e.pexp_desc with
+  | Pexp_ident { Location.txt = Longident.Lident v; _ } -> List.mem v words
   | Pexp_apply
       ( { pexp_desc = Pexp_ident { Location.txt = get; _ }; _ },
-        [ (Asttypes.Nolabel, arg) ] )
-    when Source.lid_last get = "get" && Source.lid_parent get = Some "Atomic"
-    -> (
-      match arg.pexp_desc with
-      | Pexp_ident { Location.txt = lid; _ } -> (
-          match (Source.lid_parent lid, Source.lid_last lid) with
-          | Some "Chaos", "armed" -> Guards.singleton "Chaos"
-          | Some "Tel", "armed" -> Guards.singleton "Tel"
-          | Some "Blame", "armed" -> Guards.singleton "Blame"
-          | Some "Trace", "tracing" -> Guards.singleton "Trace"
-          | _ -> Guards.empty)
-      | _ -> Guards.empty)
-  | Pexp_apply
-      ( { pexp_desc = Pexp_ident { Location.txt = Longident.Lident "&&"; _ }; _ },
-        [ (_, a); (_, b) ] ) ->
-      Guards.union (facts_of env a) (facts_of env b)
-  | Pexp_constraint (e, _) | Pexp_open (_, e) -> facts_of env e
-  | _ -> Guards.empty
+        [ (Asttypes.Nolabel, { pexp_desc = Pexp_ident { Location.txt = w; _ }; _ }) ] )
+    ->
+      Source.lid_last get = "get"
+      && Source.lid_parent get = Some "Atomic"
+      && Source.lid_last w = "armed"
+      && Source.lid_parent w = Some "Obs"
+  | Pexp_apply (land_, [ (_, a); _ ]) when is_ident "land" land_ -> is_word words a
+  | Pexp_constraint (e, _) -> is_word words e
+  | _ -> false
 
-(* Which seam, if any, an application emits on. *)
-let emission_of (fn : expression) =
+let is_zero (e : expression) =
+  match e.pexp_desc with
+  | Pexp_constant (Pconst_integer ("0", None)) -> true
+  | _ -> false
+
+let rec guards words (e : expression) =
+  match e.pexp_desc with
+  | Pexp_apply (op, [ (_, a); (_, b) ]) when is_ident "<>" op ->
+      (is_word words a && is_zero b) || (is_zero a && is_word words b)
+  | Pexp_apply (op, [ (_, a); (_, b) ]) when is_ident "&&" op ->
+      guards words a || guards words b
+  | Pexp_constraint (e, _) | Pexp_open (_, e) -> guards words e
+  | _ -> false
+
+let is_dispatch (fn : expression) =
   match fn.pexp_desc with
-  | Pexp_ident { Location.txt = lid; _ } -> (
-      match (Source.lid_parent lid, Source.lid_last lid) with
-      | Some "Chaos", ("fire" | "decide") -> Some G_chaos
-      | Some "Blame", ("emit" | "emit_event") -> Some G_blame
-      | Some "Trace", "emit" -> Some G_trace
-      | _ -> None)
-  | Pexp_field (_, { Location.txt = lid; _ }) -> (
-      match (Source.lid_parent lid, Source.lid_last lid) with
-      | Some "Tel", ("count" | "observe" | "now") -> Some G_tel
-      | _ -> None)
-  | _ -> None
+  | Pexp_ident { Location.txt = lid; _ } ->
+      Source.lid_parent lid = Some "Obs" && List.mem (Source.lid_last lid) dispatches
+  | _ -> false
 
 let check (src : Source.t) =
   let findings = ref [] in
-  let report seam (e : expression) =
+  let report (e : expression) =
     let line = Source.line_of e.pexp_loc in
     if not (Source.allows src ~rule ~line) then
       findings :=
         Tm_analysis.Finding.v ~rule ~severity:Tm_analysis.Finding.Error
           ~subject:src.path
           ~location:(Tm_analysis.Finding.At_line line)
-          (Fmt.str
-             "%s emission not dominated by its [if %s then] disarmed check"
-             (seam_fact seam) (guard_expr_label seam))
+          "seam dispatch not dominated by an [if Atomic.get Obs.armed <> 0 \
+           then] armed-word check"
         :: !findings
   in
-  (* [env]: let-bound guard variables in scope; [guards]: facts
-     established on the current control path. *)
-  let rec walk env guards (e : expression) =
+  (* [words]: variables in scope bound to the armed word; [guarded]:
+     the check holds on the current control path. *)
+  let rec walk words guarded (e : expression) =
     match e.pexp_desc with
     | Pexp_ifthenelse (cond, then_, else_) ->
-        walk env guards cond;
-        walk env (Guards.union guards (facts_of env cond)) then_;
-        Option.iter (walk env guards) else_
+        walk words guarded cond;
+        walk words (guarded || guards words cond) then_;
+        Option.iter (walk words guarded) else_
     | Pexp_let (_, vbs, body) ->
-        List.iter (fun vb -> walk env guards vb.pvb_expr) vbs;
-        let env =
+        List.iter (fun vb -> walk words guarded vb.pvb_expr) vbs;
+        let words =
           List.fold_left
-            (fun env vb ->
+            (fun words vb ->
               match vb.pvb_pat.ppat_desc with
-              | Ppat_var v ->
-                  let fs = facts_of env vb.pvb_expr in
-                  if Guards.is_empty fs then env
-                  else (v.Location.txt, fs) :: env
-              | _ -> env)
-            env vbs
+              | Ppat_var v when is_word words vb.pvb_expr -> v.Location.txt :: words
+              | _ -> words)
+            words vbs
         in
-        walk env guards body
-    | Pexp_sequence (a, b) ->
-        walk env guards a;
-        walk env guards b
+        walk words guarded body
     | Pexp_apply (fn, args) ->
-        (match emission_of fn with
-        | Some seam when not (Guards.mem (seam_fact seam) guards) ->
-            report seam e
-        | _ -> ());
-        walk env guards fn;
-        List.iter (fun (_, a) -> walk env guards a) args
-    | Pexp_fun (_, default, _, body) ->
-        Option.iter (walk env guards) default;
-        walk env guards body
-    | Pexp_function cases -> List.iter (walk_case env guards) cases
+        if is_dispatch fn && not guarded then report e;
+        walk words guarded fn;
+        List.iter (fun (_, a) -> walk words guarded a) args
     | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
-        walk env guards scrut;
-        List.iter (walk_case env guards) cases
-    | Pexp_constraint (e, _) | Pexp_open (_, e) | Pexp_lazy e -> walk env guards e
+        walk words guarded scrut;
+        List.iter (walk_case words guarded) cases
+    | Pexp_function cases -> List.iter (walk_case words guarded) cases
     | _ ->
         (* Generic fallback: visit immediate sub-expressions under the
-           same facts (tuples, records, constructors, loops, ...). *)
+           same facts (sequences, closures, tuples, loops, ...). *)
         let sub =
-          {
-            Ast_iterator.default_iterator with
-            expr = (fun _ e' -> walk env guards e');
-          }
+          { Ast_iterator.default_iterator with expr = (fun _ e' -> walk words guarded e') }
         in
         Ast_iterator.default_iterator.expr sub e
-  and walk_case env guards (c : case) =
-    Option.iter (walk env guards) c.pc_guard;
-    walk env guards c.pc_rhs
+  and walk_case words guarded (c : case) =
+    Option.iter (walk words guarded) c.pc_guard;
+    walk words guarded c.pc_rhs
   in
   let iter =
-    {
-      Ast_iterator.default_iterator with
-      expr = (fun _ e -> walk [] Guards.empty e);
-    }
+    { Ast_iterator.default_iterator with expr = (fun _ e -> walk [] false e) }
   in
   iter.structure iter src.structure;
   List.rev !findings

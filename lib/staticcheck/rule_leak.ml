@@ -1,63 +1,53 @@
-(* armed-leak: arming a seam without a paired disarm.
+(* armed-leak: subscribing to the observation seam without a paired
+   release.
 
-   [Chaos.install] / [Tel.install] / [Blame.install] / [Blame_graph.install]
-   / [Trace.start] flip a process-global armed flag.  A test or bench
-   step that installs and then exits without [uninstall] (or
-   [Stm.recover], which disarms Chaos/Tel/Blame) leaves every
+   [Chaos.install], [Blame.install], [Blame_graph.install],
+   [Stm_probe.install], [Trace.start] / [Trace.start_null] and
+   [Obs.subscribe] arm the process-global seam.  A test or bench step
+   that subscribes and then exits without releasing leaves every
    subsequent test of the binary running armed: the <100 ns disarmed
    bench gates measure the wrong thing and chaos plans fire in
    unrelated tests.  The rule requires each top-level definition that
-   installs a seam to also mention the matching release — as an
-   application or as a bare ident ([Fun.protect
-   ~finally:Stm.Tel.uninstall] counts).
+   subscribes to also mention the matching release — [uninstall],
+   [Trace.stop], [Obs.unsubscribe], or [Stm.recover], which drops every
+   subscription — as an application or as a bare ident
+   ([Fun.protect ~finally:Stm.Chaos.uninstall] counts).
 
    Scope deliberately per top-level structure item: the repo's
    discipline is that one test function owns the whole
-   install/observe/teardown lifecycle (helpers that split the pair
+   subscribe/observe/release lifecycle (helpers that split the pair
    across definitions can carry a [tmstatic: allow armed-leak]). *)
 
 open Parsetree
 
 let rule = "armed-leak"
 
-type seam = { sm_name : string; sm_installs : string list }
-
-let seams =
+(* (module, arming functions, releasing function) *)
+let parties =
   [
-    { sm_name = "Chaos"; sm_installs = [ "install" ] };
-    { sm_name = "Tel"; sm_installs = [ "install" ] };
-    { sm_name = "Blame"; sm_installs = [ "install" ] };
-    { sm_name = "Blame_graph"; sm_installs = [ "install" ] };
-    { sm_name = "Trace"; sm_installs = [ "start"; "start_null" ] };
+    ("Chaos", [ "install" ], "uninstall");
+    ("Blame", [ "install" ], "uninstall");
+    ("Blame_graph", [ "install" ], "uninstall");
+    ("Stm_probe", [ "install" ], "uninstall");
+    ("Trace", [ "start"; "start_null" ], "stop");
+    ("Obs", [ "subscribe" ], "unsubscribe");
   ]
 
-(* [Stm.recover] disarms the three STM seams (and with them the blame
-   graph's sink); it does not stop tracing. *)
-let recover_releases = [ "Chaos"; "Tel"; "Blame"; "Blame_graph" ]
-
-type arming = { arm_seam : string; arm_line : int }
-
-(* Collect, for one top-level definition: every install site and the
-   set of seams for which a release is mentioned (application or bare
-   ident). *)
+(* Collect, for one top-level definition: every arming site, whether a
+   release of each party is mentioned, and whether [recover] is. *)
 let scan_item (si : structure_item) =
-  let installs = ref [] in
-  let released = ref [] in
-  let release s = if not (List.mem s !released) then released := s :: !released in
+  let arms = ref [] and released = ref [] and recovered = ref false in
   let on_ident lid line =
-    let parent = Source.lid_parent lid and last = Source.lid_last lid in
-    match parent with
+    let last = Source.lid_last lid in
+    if last = "recover" then recovered := true;
+    match Source.lid_parent lid with
     | Some p -> (
-        (match List.find_opt (fun s -> s.sm_name = p) seams with
-        | Some s when List.mem last s.sm_installs ->
-            installs := { arm_seam = p; arm_line = line } :: !installs
-        | _ -> ());
-        match last with
-        | "uninstall" -> release p
-        | "stop" when p = "Trace" -> release "Trace"
-        | "recover" -> List.iter release recover_releases
-        | _ -> ())
-    | None -> if last = "recover" then List.iter release recover_releases
+        match List.find_opt (fun (m, _, _) -> m = p) parties with
+        | Some (_, installs, release) ->
+            if List.mem last installs then arms := (p, line) :: !arms;
+            if last = release then released := p :: !released
+        | None -> ())
+    | None -> ()
   in
   let iter =
     {
@@ -65,34 +55,30 @@ let scan_item (si : structure_item) =
       expr =
         (fun self e ->
           (match e.pexp_desc with
-          | Pexp_ident { Location.txt = lid; loc } ->
-              on_ident lid (Source.line_of loc)
+          | Pexp_ident { Location.txt = lid; loc } -> on_ident lid (Source.line_of loc)
           | _ -> ());
           Ast_iterator.default_iterator.expr self e);
     }
   in
   iter.structure_item iter si;
-  (List.rev !installs, !released)
+  (List.rev !arms, !released, !recovered)
 
 let check (src : Source.t) =
   List.concat_map
-    (fun (si : structure_item) ->
-      let installs, released = scan_item si in
+    (fun si ->
+      let arms, released, recovered = scan_item si in
       List.filter_map
-        (fun a ->
-          if List.mem a.arm_seam released then None
-          else if Source.allows src ~rule ~line:a.arm_line then None
+        (fun (p, line) ->
+          if recovered || List.mem p released || Source.allows src ~rule ~line then None
           else
+            let _, _, release = List.find (fun (m, _, _) -> m = p) parties in
             Some
-              (Tm_analysis.Finding.v ~rule
-                 ~severity:Tm_analysis.Finding.Error ~subject:src.Source.path
-                 ~location:(Tm_analysis.Finding.At_line a.arm_line)
+              (Tm_analysis.Finding.v ~rule ~severity:Tm_analysis.Finding.Error
+                 ~subject:src.Source.path
+                 ~location:(Tm_analysis.Finding.At_line line)
                  (Fmt.str
-                    "%s armed here with no %s in the same top-level \
-                     definition: later tests in this binary run armed"
-                    a.arm_seam
-                    (if a.arm_seam = "Trace" then "Trace.stop"
-                     else
-                       Fmt.str "%s.uninstall / Stm.recover" a.arm_seam))))
-        installs)
+                    "%s armed here with no %s.%s / Stm.recover in the same \
+                     top-level definition: later tests in this binary run armed"
+                    p p release)))
+        arms)
     src.structure

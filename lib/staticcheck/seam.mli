@@ -1,29 +1,11 @@
-(** The machine-read seam contract: the Chaos/Tel/Blame constructor
-    vocabularies parsed from [stm_core.ml], the per-algorithm
-    announcement tables and core dispatch parsed from [stm.ml], and the
-    emission-site scan the contract rule cross-checks them against. *)
-
-type kind = Tel | Chaos | Blame
-
-val kind_module : kind -> string
-(** ["Tel"], ["Chaos"], ["Blame"]. *)
-
-val kind_table : kind -> string
-(** The announcement table name: ["tel_phases"], ["chaos_points"],
-    ["blame_causes"]. *)
-
-type vocab = { phases : string list; points : string list; causes : string list }
-
-val vocab_of : kind -> vocab -> string list
-
-val facade_kind : kind
-(** The seam whose universal constructors (Begin/Commit/Abort) are
-    emitted by the [Stm] facade's retry loop rather than the cores. *)
+(** The machine-read seam contract: the site vocabulary parsed from
+    [stm_core.ml], the per-algorithm announcement table and core
+    dispatch parsed from [stm.ml], and the emission-site scans the
+    contract rule cross-checks them against. *)
 
 type announcement = {
   an_algo : string;  (** [Algo.t] constructor, e.g. ["Global_lock"] *)
-  an_kind : kind;
-  an_ctors : string list;  (** in announcement order *)
+  an_sites : string list;  (** in announcement order *)
   an_line : int;  (** line of the matching table case in [stm.ml] *)
 }
 
@@ -34,19 +16,26 @@ type contract = {
   c_announced : announcement list;
 }
 
-val announced : contract -> algo:string -> kind:kind -> announcement option
+val announced : contract -> algo:string -> announcement option
 
-val vocab_of_core : Source.t -> (vocab, string) result
-(** Parse the [Tel.phase] / [Chaos.point] / [Blame.cause] variant
-    declarations out of [stm_core.ml]. *)
+val vocab_of_core : Source.t -> (string list, string) result
+(** Parse the [Obs.site] constructors out of [stm_core.ml]. *)
 
 val contract_of_facade : Source.t -> (contract, string) result
-(** Parse [Algo.t], the three announcement tables and [core_of] out of
+(** Parse [Algo.t], the [Algo.sites] table and [core_of] out of
     [stm.ml].  Or-patterns announce for every named algorithm. *)
 
-type site = { s_kind : kind; s_ctor : string; s_line : int }
+type site = { s_site : string; s_line : int }
 
-val sites : vocab -> ?skip_module:string -> Source.t -> site list
-(** Every qualified seam constructor in expression position, in source
+val sites : string list -> ?skip_module:string -> Source.t -> site list
+(** Every [Obs.X] site constructor in expression position, in source
     order.  [skip_module] skips one named top-level module (the [Algo]
-    announcement tables themselves when scanning [stm.ml]). *)
+    table itself when scanning [stm.ml]). *)
+
+val helpers : string list -> Source.t -> (string * string list) list
+(** The top-level functions of the substrate that emit sites, with
+    their sites ([write_back] -> [Locked], [Published]). *)
+
+val helpers_used :
+  (string * string list) list -> Source.t -> (string * string list) list
+(** The helpers a core refers to, bare or [Stm_core]-qualified. *)

@@ -87,7 +87,7 @@ let line_of (loc : Location.t) = loc.loc_start.pos_lnum
 
 (* Longident helpers: rules match on the last component (the name) and
    the component immediately qualifying it (the module), e.g.
-   [Stm_core.Chaos.fire] has last ["fire"] under ["Chaos"]. *)
+   [Stm_core.Obs.fire] has last ["fire"] under ["Obs"]. *)
 let rec lid_last : Longident.t -> string = function
   | Lident s -> s
   | Ldot (_, s) -> s

@@ -29,8 +29,8 @@ val line_of : Location.t -> int
 (** 1-based start line of a location. *)
 
 val lid_last : Longident.t -> string
-(** The last component: [Stm_core.Chaos.fire] -> ["fire"]. *)
+(** The last component: [Stm_core.Obs.fire] -> ["fire"]. *)
 
 val lid_parent : Longident.t -> string option
 (** The component immediately qualifying the last one:
-    [Stm_core.Chaos.fire] -> [Some "Chaos"]; [Lident _] -> [None]. *)
+    [Stm_core.Obs.fire] -> [Some "Obs"]; [Lident _] -> [None]. *)

@@ -7,8 +7,8 @@
     serializer, a DSTM-style obstruction-free TM (revocable ownership
     records with abort-others stealing) and NOrec (value-based
     validation under a single sequence lock).  All of them share the
-    {!Trace}, {!Chaos} and {!Tel} observation seams and the same
-    transactional data-structure layer ([txn_*]).
+    {!Obs} observation seam and the same transactional data-structure
+    layer ([txn_*]).
 
     Consistently with the paper's impossibility result (no TM ensures
     opacity and local progress in a fault-prone system), no core makes
@@ -46,8 +46,9 @@ val atomically : (unit -> 'a) -> 'a
     the enclosing one. *)
 
 val read : 'a tvar -> 'a
-(** Inside a transaction: a validated transactional read.  Outside: an
-    atomic snapshot read. *)
+(** Inside a transaction: a transactional read, validated against the
+    transaction's snapshot (an inconsistent read aborts the attempt).
+    Outside: an atomic snapshot read. *)
 
 val write : 'a tvar -> 'a -> unit
 (** Inside a transaction: a deferred transactional write.
@@ -79,10 +80,103 @@ val recover : unit -> unit
     in flight; per-t-variable state (TL2 vlocks, DSTM locators) is
     instead recovered by dropping the crashed run's t-variables.
 
-    [recover] also disarms all three installable observation seams
-    ({!Chaos}, {!Tel}, {!Blame}): a harness that died between install
-    and uninstall must not leave a handler armed across runs.  The
-    uninstalls are idempotent, so [recover] is safe to call twice. *)
+    [recover] also drops every {!Obs} subscription — the chaos plan,
+    the blame sink, the trace recorder, telemetry probes: a harness
+    that died between install and uninstall must not leave the seam
+    armed across runs.  Dropping is idempotent, so [recover] is safe
+    to call twice. *)
+
+(** The observation seam: one armed word, one vocabulary of {!Obs.site}s,
+    one subscriber registry.
+
+    Off by default: every site of the hot path then costs a single
+    atomic load of the armed word and nothing is constructed.  A
+    subscribed observer sees every event — the site, a t-variable id
+    (-1 when the site has none) and one int argument (0 when the site
+    has none) — on the domain that reaches the site, so observers must
+    be domain-safe and non-blocking.  Which sites a core reaches is
+    {!Algo.sites}.  The built-in parties are subscribers too: the
+    {!Trace} recorder, the {!Chaos} plan (the one party that decides
+    rather than observes), the {!Blame} sink and [Tm_telemetry]'s
+    [Stm_probe]; {!recover} drops them all in one place. *)
+module Obs : sig
+  type site = Stm_core.Obs.site =
+    | Begin  (** an attempt starts; argument: the attempt number *)
+    | Read
+        (** before a transactional read that is not a read-own-write,
+            and before it is validated; decision site *)
+    | Read_conflict
+        (** TL2: a read saw a locked or too-new t-variable; argument:
+            the slot blamed (last lock holder / committed writer) *)
+    | Lock_acquire  (** before a lock/ownership acquisition; decision site *)
+    | Locked  (** a commit lock taken; argument: its acquisition order *)
+    | Lock_busy
+        (** TL2: a commit lock found taken; argument: the slot blamed *)
+    | Released  (** a commit lock released without publishing *)
+    | Lock_time
+        (** argument: duration of commit lock acquisition (TL2: the
+            write-set vlocks; global-lock: the serializer) *)
+    | Validate  (** before read-set validation; decision site *)
+    | Validation
+        (** read-set (re)validation failed; argument: the slot blamed *)
+    | Validate_time  (** argument: duration of commit-time validation *)
+    | Stolen
+        (** DSTM, reported by the aggressor: an ownership stolen, so
+            the owner's commit is doomed; argument: the victim slot *)
+    | Wait_budget
+        (** spin budget exhausted behind a serialized lock; argument:
+            the slot blamed (its last acquirer) *)
+    | Pre_commit
+        (** after validation, before publishing (held); decision site *)
+    | Published  (** a t-variable published, its lock released with it *)
+    | Publish_time  (** argument: duration of making the write set visible *)
+    | Post_commit
+        (** after the commit took effect (released); decision site —
+            [Abort] here acts as [Proceed], there is nothing left to
+            abort *)
+    | Commit  (** argument: whole-attempt duration of a commit *)
+    | Abort  (** a conflict abort; argument: whole-attempt duration *)
+    | Retry  (** a user {!retry}; argument: whole-attempt duration *)
+    | Exception  (** the body raised (or crashed) *)
+    | Backoff
+        (** the wait before a re-run; it has no t-variable: the
+            t-variable slot carries the attempt exponent, the argument
+            the spin count *)
+
+  val sites : site list
+  (** Every site, in declaration order. *)
+
+  val site_label : site -> string
+  (** ["begin"], ["read"], ["read-conflict"], ["lock-acquire"],
+      ["locked"], ["lock-busy"], ["released"], ["lock-time"],
+      ["validate"], ["validation"], ["validate-time"], ["stolen"],
+      ["wait-budget"], ["pre-commit"], ["published"], ["publish-time"],
+      ["post-commit"], ["commit"], ["abort"], ["retry"], ["exception"],
+      ["backoff"]. *)
+
+  type subscription = Stm_core.Obs.subscription
+
+  val subscribe :
+    ?clock:(unit -> int) ->
+    ?stamp:bool ->
+    ?sites:site list ->
+    (site -> int -> int -> unit) ->
+    subscription
+  (** Subscribe an observer and arm the seam.  The observer is handed
+      the events of [sites] (default: every site); a site no observer
+      asked for costs its emitter one array load.  [clock] (monotone,
+      in the subscriber's unit) becomes the seam's clock: durations are
+      its deltas, and read 0 while no subscriber supplied one.
+      [stamp] (default false) makes the cores stamp ownership words
+      with the emitting domain's {!Blame.self} slot, so conflict sites
+      can name the slot blamed; without it they name -1 or a stale
+      slot. *)
+
+  val unsubscribe : subscription -> unit
+  (** Idempotent; disarms the seam once nothing is subscribed. *)
+
+  val is_armed : unit -> bool
+end
 
 (** The algorithm zoo: which core {!atomically} runs. *)
 module Algo : sig
@@ -105,24 +199,18 @@ module Algo : sig
   (** The Kuznetsov–Ravi progress family: ["progressive"],
       ["blocking"], ["obstruction-free"], ["commit-serialized"]. *)
 
-  val tel_phases : t -> Stm_core.Tel.phase list
-  (** The per-algorithm phase mapping: exactly the {!Tel.phase}s this
-      core can emit.  Enforced by the phase-mapping test; notable
-      truths: NOrec and DSTM never emit [Lock] (no per-location
-      lock-acquire phase exists), the global-lock serializer never
-      emits [Validate]. *)
-
-  val chaos_points : t -> Stm_core.Chaos.point list
-  (** The {!Chaos.point}s this core fires, same contract.  The
-      global-lock core never fires [Validate]; NOrec never fires
-      [Lock_acquire]. *)
-
-  val blame_causes : t -> Stm_core.Blame.cause list
-  (** The {!Blame.cause}s this core can emit, same truthfulness
-      contract.  Only the stealing DSTM core can emit [Stolen]; the
-      serialized cores (global-lock, NOrec) convert conflicts into
-      [Wait_budget] behind their single lock; TL2 is the only core
-      with per-location [Read_conflict]/[Lock_busy]. *)
+  val sites : t -> Obs.site list
+  (** The sites this core reaches, in {!Obs.sites} order — the
+      announcement that keeps telemetry labels, chaos plans and blame
+      attribution truthful.  Enforced both ways by tmstatic's
+      seam-contract rule and at run time by the truthfulness test.
+      Notable truths: NOrec and DSTM never reach [Lock_time] (no
+      per-location lock-acquire phase), NOrec never decides at
+      [Lock_acquire], the global-lock serializer never validates, only
+      DSTM reaches [Stolen], only the serialized cores reach
+      [Wait_budget], and only TL2 reaches [Read_conflict]/[Lock_busy].
+      The global-lock core decides [Read] only with the serializer
+      already held. *)
 end
 
 val set_algo : Algo.t -> unit
@@ -137,25 +225,28 @@ val with_algo : Algo.t -> (unit -> 'a) -> 'a
     selection afterwards (single-controller discipline; do not nest
     concurrently from several domains). *)
 
-(** Runtime tracing.
+(** Runtime tracing: a ring recorder subscribed to {!Obs}.
 
-    Off by default; the instrumented hot paths pay a single atomic flag
-    read per potential event when tracing is off.  When on, each domain
-    records into its own fixed-capacity ring buffer ({!Tm_trace.Ring}),
-    so tracing a long run keeps only the most recent events per domain
-    and never grows memory.  Event timestamps are a global emission
-    sequence number (a total order of emissions), not wall-clock time. *)
+    Off by default.  When on, each domain records into its own
+    fixed-capacity ring buffer ({!Tm_trace.Ring}), so tracing a long
+    run keeps only the most recent events per domain and never grows
+    memory.  The recorder keeps the sites the trace lints read: attempt
+    spans ([Begin] to [Commit]/[Abort]/[Retry]/[Exception]), backoff
+    waits, the lock protocol ([Locked], [Lock_busy], [Released],
+    [Published]), steals and failed validations.  Event timestamps are
+    a global emission sequence number (a total order of recorded
+    events), not wall-clock time. *)
 module Trace : sig
   val start : ?capacity:int -> unit -> unit
-  (** Enable tracing into per-domain rings of [capacity] events
+  (** Subscribe the recorder into per-domain rings of [capacity] events
       (default 4096).  Discards events from any previous session. *)
 
   val start_null : unit -> unit
-  (** Enable tracing with a null sink: events are constructed and counted
+  (** Subscribe with a null sink: events are constructed and counted
       but not stored.  For measuring emission overhead. *)
 
   val stop : unit -> unit
-  (** Disable tracing.  Recorded events remain readable via {!events}. *)
+  (** Unsubscribe.  Recorded events remain readable via {!events}. *)
 
   val is_on : unit -> bool
 
@@ -166,16 +257,16 @@ module Trace : sig
   (** Events overwritten in ring buffers (sum over domains). *)
 
   val emitted : unit -> int
-  (** Events emitted since the last [start]/[start_null], including
+  (** Events recorded since the last [start]/[start_null], including
       dropped and null-sunk ones. *)
 end
 
-(** Deterministic fault-injection interception points.
+(** Deterministic fault injection: the seam's one deciding party.
 
-    Disarmed by default; every interception point then costs a single
-    atomic flag read — the same zero-cost discipline as {!Trace}.  An
-    installed handler is consulted at up to five points of the hot
-    path ({!point}) and answers with an {!action}:
+    An installed handler is consulted at the five decision sites of
+    the hot path — [Read], [Lock_acquire], [Validate], [Pre_commit],
+    [Post_commit] of {!Obs.site} — before the event is delivered to
+    observers, and answers with an {!action}:
 
     - [Proceed] — no fault;
     - [Abort] — abort the current attempt as an ordinary conflict (it is
@@ -191,24 +282,18 @@ end
       conflicting peers starve; under the obstruction-free DSTM core
       the abandoned ownerships are simply stolen and peers progress.
 
-    Which core fires which point, and what is held there, is the
-    per-algorithm mapping {!Algo.chaos_points} (e.g. the global-lock
-    core fires [Read] only with the serializer already held).
+    Which core decides at which site, and what is held there, is
+    {!Algo.sites} (e.g. the global-lock core decides [Read] only with
+    the serializer already held).
 
     Handlers run on the faulting domain and must be domain-safe.  This
     is the mechanism only; seeded fault plans, scenarios and empirical
     verdicts live in the [Tm_chaos] library. *)
 module Chaos : sig
-  type point = Stm_core.Chaos.point =
-    | Read  (** before each transactional read *)
-    | Validate  (** before read-set validation *)
-    | Lock_acquire  (** before a lock/ownership acquisition *)
-    | Pre_commit  (** after validation, before publishing (held) *)
-    | Post_commit
-        (** after the commit took effect (released); [Abort] here acts
-            as [Proceed], since there is nothing left to abort *)
+  type point = Obs.site
+  (** Only the five decision sites are ever handed to a handler. *)
 
-  type action = Stm_core.Chaos.action =
+  type action = Stm_core.Obs.action =
     | Proceed
     | Abort
     | Stall of int
@@ -218,98 +303,29 @@ module Chaos : sig
   (** Escapes {!atomically} on a [Crash] action; held locks stay held. *)
 
   val install : (point -> action) -> unit
-  (** Install a handler and arm every interception point.  Replaces any
-      previously installed handler. *)
+  (** Subscribe a handler.  Replaces any previously installed handler. *)
 
   val uninstall : unit -> unit
-  (** Disarm: back to the null handler and the one-flag-read fast path. *)
+  (** Unsubscribe (idempotent). *)
 
   val is_armed : unit -> bool
-
-  val point_label : point -> string
-  (** ["read"], ["validate"], ["lock-acquire"], ["pre-commit"],
-      ["post-commit"]. *)
 end
 
-(** Always-on telemetry probe.
+(** Blame attribution — who aborted (or is impeding) whom: an observer
+    of the conflict sites of {!Obs}.
 
-    The third user of the null-by-default discipline of {!Trace} and
-    {!Chaos}: while no probe is installed every instrumented event costs
-    a single atomic flag read and nothing is allocated; the probe record
-    itself is only loaded once the flag is armed.
+    Installing subscribes with ownership stamping on, so the cores
+    record in per-t-variable owner words the slot that last locked or
+    owned each t-variable; uninstalled, those words are never written.
+    Arming therefore changes what is {e recorded}, never what the
+    algorithms {e decide}.
 
-    An installed probe sees, per transaction attempt, a
-    [count Begin]; per transactional read a [count Read]; and phase
-    durations via [observe] — which phases exist depends on the
-    selected algorithm ({!Algo.tel_phases}): under TL2 [Lock]
-    (acquiring the write-set vlocks), [Validate] (write-version draw
-    plus read-set validation) and [Publish] (publishing and releasing)
-    within a write commit; under the global-lock core [Lock] (the
-    serializer) and [Publish] but no [Validate]; under NOrec and DSTM
-    [Validate] and [Publish] but no [Lock].  Every algorithm reports
-    the whole-attempt [Commit]/[Abort] latency from attempt start to
-    outcome.  Durations are deltas of the probe's own [now] clock — the
-    probe chooses the unit (tm_telemetry installs a monotonic
-    nanosecond clock), which keeps this library clock-agnostic.
-
-    Probes run on the transaction's domain and must be domain-safe and
-    non-blocking; [tm_telemetry]'s sharded instruments are the intended
-    implementation. *)
-module Tel : sig
-  type phase = Stm_core.Tel.phase =
-    | Begin  (** counted: a transaction attempt started *)
-    | Read  (** counted: a validated transactional read *)
-    | Lock  (** observed: lock acquisition (TL2, global-lock) *)
-    | Validate  (** observed: read-set validation (TL2, DSTM, NOrec) *)
-    | Publish  (** observed: making the write set visible *)
-    | Commit  (** observed: whole-attempt latency of a commit *)
-    | Abort  (** observed: whole-attempt latency of an abort *)
-
-  type probe = Stm_core.Tel.probe = {
-    now : unit -> int;  (** monotone; the probe's unit *)
-    count : phase -> unit;
-    observe : phase -> int -> unit;  (** duration in [now]'s unit *)
-  }
-
-  val null_probe : probe
-
-  val install : probe -> unit
-  (** Install and arm.  Replaces any previously installed probe. *)
-
-  val uninstall : unit -> unit
-  (** Disarm: back to the one-flag-read fast path. *)
-
-  val is_armed : unit -> bool
-
-  val phase_label : phase -> string
-  (** ["begin"], ["read"], ["lock-acquire"], ["validate"],
-      ["publish"], ["commit"], ["abort"]. *)
-end
-
-(** Blame attribution seam — who aborted (or is impeding) whom.
-
-    Fourth user of the null-by-default discipline of {!Trace}, {!Chaos}
-    and {!Tel}: while no sink is installed every abort/steal/wait
-    decision site in the cores costs a single atomic flag read, and the
-    per-t-variable ownership words the attribution relies on are never
-    written.  Arming therefore changes what is {e recorded}, never what
-    the algorithms {e decide}.
-
-    An installed sink sees one {!event} per blame-worthy decision —
-    victim slot, aggressor slot, t-variable id, {!cause} — and one
+    An installed sink sees one {!event} per conflict site reached —
+    victim slot, aggressor slot, t-variable id, {!cause} (the site of
+    the same name; see {!Obs.site} for who is blamed at each) — and one
     [on_progress] tick per successful commit (the progress watermark
-    feed).  Which causes a core can emit is {!Algo.blame_causes}:
-
-    - TL2 blames the last committed writer / current lock holder of the
-      conflicting t-variable ([Read_conflict], [Lock_busy],
-      [Validation]);
-    - DSTM emits [Stolen] from the {e aggressor}'s domain at a
-      successful ownership steal (victim = the installing slot recorded
-      in the locator) and [Validation] at read-set revalidation
-      failures;
-    - the global-lock serializer and NOrec emit [Wait_budget] when a
-      spin behind their single lock exhausts its budget, blaming the
-      slot that last acquired it; NOrec also emits [Validation].
+    feed).  A [Stolen] event is reported from the {e aggressor}'s
+    domain; every other cause by the victim.
 
     Identity is the {e plan slot} (0..domains-1) bound with
     {!set_self} by the harness that owns the run (the chaos runner
@@ -319,32 +335,30 @@ end
     non-blocking; [tm_telemetry]'s [Blame_graph] is the intended
     implementation. *)
 module Blame : sig
-  type cause = Stm_core.Blame.cause =
+  type cause =
     | Read_conflict  (** TL2: read saw a locked or too-new t-variable *)
     | Lock_busy  (** TL2: commit-time write-set lock acquisition lost *)
     | Validation  (** read-set (re)validation failed *)
     | Stolen  (** DSTM: ownership stolen — victim's commit is doomed *)
     | Wait_budget  (** spin budget exhausted behind a serialized lock *)
 
-  type event = Stm_core.Blame.event = {
+  type event = {
     b_victim : int;  (** slot whose attempt is impeded (-1 unknown) *)
     b_aggressor : int;  (** slot held responsible (-1 unknown) *)
     b_tvar : int;  (** t-variable id the conflict was on (-1 none) *)
     b_cause : cause;
   }
 
-  type sink = Stm_core.Blame.sink = {
+  type sink = {
     on_event : event -> unit;
     on_progress : int -> unit;  (** a commit by the given slot *)
   }
 
-  val null_sink : sink
-
   val install : sink -> unit
-  (** Install and arm.  Replaces any previously installed sink. *)
+  (** Subscribe the sink.  Replaces any previously installed sink. *)
 
   val uninstall : unit -> unit
-  (** Disarm: back to the one-flag-read fast path. *)
+  (** Unsubscribe (idempotent). *)
 
   val is_armed : unit -> bool
 

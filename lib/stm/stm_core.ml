@@ -3,9 +3,8 @@
    Everything algorithm-independent lives here: the t-variable
    representation and its type-erased [handle], the universal-type
    trick for heterogeneous read/write sets, the write log [Wlog] shared
-   by the write-back cores, the zero-cost observation seams ([Trace],
-   [Chaos], [Tel], [Blame]) and the core interface [S] that each
-   algorithm implements.  The [Stm] facade dispatches the public API to the
+   by the write-back cores, the zero-cost observation seam [Obs] and
+   the core interface [S] that each algorithm implements.  The [Stm] facade dispatches the public API to the
    currently selected core; the cores themselves live in [Stm_tl2],
    [Stm_glock], [Stm_dstm] and [Stm_norec].
 
@@ -27,8 +26,9 @@ type locator = {
   l_old : univ;
   mutable l_new : univ;
   l_owner : int;
-      (* plan slot of the installing transaction's domain when the Blame
-         seam is armed, -1 otherwise — lets a stealer name its victim *)
+      (* plan slot of the installing transaction's domain while an
+         observer stamps ownership, -1 otherwise — lets a stealer name
+         its victim *)
 }
 
 (* The type-erased face of a t-variable, built once at creation: what
@@ -50,7 +50,7 @@ type 'a tvar = {
   locator : locator Atomic.t;
   owner : int Atomic.t;
       (* plan slot of the last lock holder / committed writer, written
-         only while the Blame seam is armed (-1 = unknown) *)
+         only while an observer stamps ownership (-1 = unknown) *)
   inj : 'a -> univ;
   proj : univ -> 'a;
   handle : handle;
@@ -62,104 +62,6 @@ let next_id = Atomic.make 0
    status cell: a steal (CAS 0 -> 2) on it can never succeed, and no
    transaction ever owns it. *)
 let root_status = Atomic.make 1
-
-module Tev = Tm_trace.Trace_event
-
-(* Runtime tracing.  The hot path pays one [Atomic.get] on a global flag
-   per potential event; when the flag is false no event is even
-   constructed.  When on, each domain writes into its own fixed-size ring
-   (single-writer, no lock on the emit path) registered in a global list
-   so [events] can collect them afterwards.  Timestamps come from a global
-   emission sequence — they give a total order of emissions, not wall
-   time. *)
-module Trace = struct
-  type mode = Off | Null | Rings of int
-
-  let tracing = Atomic.make false
-  let mode = Atomic.make Off
-  let generation = Atomic.make 0
-  let seq = Atomic.make 0
-  let emitted_count = Atomic.make 0
-  let registry_mu = Mutex.create ()
-  let registry : Tm_trace.Ring.t list ref = ref []
-
-  let slot : (int * Tm_trace.Ring.t) option ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref None)
-
-  let default_capacity = 4096
-
-  let reset_locked m =
-    registry := [];
-    Atomic.incr generation;
-    Atomic.set seq 0;
-    Atomic.set emitted_count 0;
-    Atomic.set mode m;
-    Atomic.set tracing (m <> Off)
-
-  let start ?(capacity = default_capacity) () =
-    if capacity < 1 then invalid_arg "Stm.Trace.start: capacity must be positive";
-    Mutex.protect registry_mu (fun () -> reset_locked (Rings capacity))
-
-  let start_null () = Mutex.protect registry_mu (fun () -> reset_locked Null)
-
-  let stop () =
-    Mutex.protect registry_mu (fun () ->
-        Atomic.set tracing false;
-        Atomic.set mode Off)
-
-  let is_on () = Atomic.get tracing
-
-  (* The per-domain ring is cached in DLS together with the generation it
-     belongs to, so a stale ring from a previous [start] is never written
-     into the current session. *)
-  let ring_for_domain gen =
-    let r = Domain.DLS.get slot in
-    match !r with
-    | Some (g, ring) when g = gen -> Some ring
-    | _ -> (
-        match Atomic.get mode with
-        | Rings cap ->
-            let ring = Tm_trace.Ring.create ~capacity:cap in
-            let registered =
-              Mutex.protect registry_mu (fun () ->
-                  if Atomic.get generation = gen then begin
-                    registry := ring :: !registry;
-                    true
-                  end
-                  else false)
-            in
-            if registered then begin
-              r := Some (gen, ring);
-              Some ring
-            end
-            else None
-        | Off | Null -> None)
-
-  let emit cat name phase args =
-    let ts = Atomic.fetch_and_add seq 1 in
-    let tid = (Domain.self () :> int) in
-    let e = { Tev.ts; pid = 0; tid; cat; name; phase; args } in
-    Atomic.incr emitted_count;
-    match Atomic.get mode with
-    | Off | Null -> ()
-    | Rings _ -> (
-        match ring_for_domain (Atomic.get generation) with
-        | Some ring -> Tm_trace.Ring.add ring e
-        | None -> ())
-
-  let events () =
-    let evs =
-      Mutex.protect registry_mu (fun () ->
-          List.concat_map Tm_trace.Ring.to_list !registry)
-    in
-    List.sort (fun (a : Tev.t) b -> Int.compare a.ts b.ts) evs
-
-  let dropped () =
-    Mutex.protect registry_mu (fun () ->
-        List.fold_left (fun acc r -> acc + Tm_trace.Ring.dropped r) 0 !registry)
-
-  let emitted () = Atomic.get emitted_count
-end
 
 let tvar (type a) (init : a) : a tvar =
   let module M = struct
@@ -195,174 +97,299 @@ let tvar (type a) (init : a) : a tvar =
 exception Retry
 exception Conflict
 
-(* Deterministic fault injection.  Same zero-cost discipline as [Trace]:
-   every interception point costs one [Atomic.get] on [armed] when no
-   plan is installed, and only consults the handler when armed.  The
-   handler decides per point: proceed, abort the attempt (a normal
-   conflict, counted and retried), stall (bounded spinning), or crash.
-   [Crashed] escapes [atomically] through its generic exception arm
-   without releasing any commit locks the domain holds — a crash at
-   [Pre_commit] is therefore the paper's crashed-lock-holder adversary,
-   observable on real domains.  Where each point fires is
-   algorithm-specific; see [Stm.Algo] for the per-core mapping. *)
-module Chaos = struct
-  type point = Read | Validate | Lock_acquire | Pre_commit | Post_commit
+(* The observation seam: one armed word, one vocabulary of sites, one
+   subscriber registry.
+
+   A site is a point of the transaction protocol where a core or the
+   facade may be observed.  The hot path pays one [Atomic.get] on
+   [armed] per site; while nothing is subscribed the word is 0 and
+   nothing else is loaded or constructed.  Armed, an event — the site,
+   a t-variable id (-1 when none) and one int argument (0 when none) —
+   is delivered to every observer that asked for the site, in
+   subscription order.
+
+   Chaos is the one subscriber that decides rather than observes: at
+   the five decision sites ([Read], [Lock_acquire], [Validate],
+   [Pre_commit], [Post_commit]) the most recent decider is consulted
+   before the event is delivered, and its action can stall, abort or
+   crash the attempt.  [Crashed] escapes [atomically] through its
+   generic exception arm without releasing any commit locks the domain
+   holds — a crash at [Pre_commit] is therefore the paper's
+   crashed-lock-holder adversary, observable on real domains.
+
+   The word is a bit set, so work inside the armed branch that only
+   some parties need tests its own bit: [decisions] and [reads] while
+   a decider is subscribed (or an observer asked for a decision site,
+   resp. [Read]), [locks] and [phases] while an observer asked for the
+   per-t-variable lock protocol or the timed commit phases, [begins]
+   while an observer asked for [Begin] or supplied a clock, [timing]
+   while a clock is subscribed, and [stamping] while an observer
+   attributes blame — the cores then stamp ownership (t-variable
+   [owner], locator [l_owner]) with the plan slot of the emitting
+   domain so the aggressor of a conflict can be named; without it they
+   never touch those words.
+
+   Durations are deltas of one clock, supplied by the subscriber that
+   wants time ([?clock] of [subscribe]); with no clock every duration
+   reads 0, so stm itself stays clock-agnostic. *)
+module Obs = struct
+  type site =
+    | Begin
+    | Read
+    | Read_conflict
+    | Lock_acquire
+    | Locked
+    | Lock_busy
+    | Released
+    | Lock_time
+    | Validate
+    | Validation
+    | Validate_time
+    | Stolen
+    | Wait_budget
+    | Pre_commit
+    | Published
+    | Publish_time
+    | Post_commit
+    | Commit
+    | Abort
+    | Retry
+    | Exception
+    | Backoff
+
+  let sites =
+    [
+      Begin; Read; Read_conflict; Lock_acquire; Locked; Lock_busy; Released;
+      Lock_time; Validate; Validation; Validate_time; Stolen; Wait_budget;
+      Pre_commit; Published; Publish_time; Post_commit; Commit; Abort; Retry;
+      Exception; Backoff;
+    ]
+
+  (* Each site's position in [sites] (the index of its routes) and
+     its label. *)
+  let[@inline] info = function
+    | Begin -> (0, "begin")
+    | Read -> (1, "read")
+    | Read_conflict -> (2, "read-conflict")
+    | Lock_acquire -> (3, "lock-acquire")
+    | Locked -> (4, "locked")
+    | Lock_busy -> (5, "lock-busy")
+    | Released -> (6, "released")
+    | Lock_time -> (7, "lock-time")
+    | Validate -> (8, "validate")
+    | Validation -> (9, "validation")
+    | Validate_time -> (10, "validate-time")
+    | Stolen -> (11, "stolen")
+    | Wait_budget -> (12, "wait-budget")
+    | Pre_commit -> (13, "pre-commit")
+    | Published -> (14, "published")
+    | Publish_time -> (15, "publish-time")
+    | Post_commit -> (16, "post-commit")
+    | Commit -> (17, "commit")
+    | Abort -> (18, "abort")
+    | Retry -> (19, "retry")
+    | Exception -> (20, "exception")
+    | Backoff -> (21, "backoff")
+
+  let site_label s = snd (info s)
+
   type action = Proceed | Abort | Stall of int | Crash
 
   exception Crashed
 
-  let null_handler : point -> action = fun _ -> Proceed
-  let armed = Atomic.make false
-  let handler = Atomic.make null_handler
+  type observer = site -> int -> int -> unit
 
-  let install f =
-    Atomic.set handler f;
-    Atomic.set armed true
+  type party =
+    | Observer of { sites : site list; on : observer }
+    | Decider of (site -> action)
 
-  let uninstall () =
-    Atomic.set armed false;
-    Atomic.set handler null_handler
+  type subscription = { id : int; party : party; stamp : bool; timed : bool }
 
-  let is_armed () = Atomic.get armed
+  let observing = 1
+  let decisions = 2
+  let stamping = 4
+  let timing = 8
+  let locks = 16
+  let phases = 32
+  let reads = 64
+  let begins = 128
+  let armed = Atomic.make 0
+  let no_clock () = 0
+  let clock = Atomic.make no_clock
+  let null_decider : site -> action = fun _ -> Proceed
+  let decider = Atomic.make null_decider
 
-  let point_label = function
-    | Read -> "read"
-    | Validate -> "validate"
-    | Lock_acquire -> "lock-acquire"
-    | Pre_commit -> "pre-commit"
-    | Post_commit -> "post-commit"
+  (* Per site, the observers that asked for it, in subscription order:
+     a site nobody asked for costs one array load. *)
+  let routes : observer array array Atomic.t =
+    Atomic.make (Array.make (List.length sites) [||])
+
+  let registry_mu = Mutex.create ()
+  let registry : subscription list ref = ref [] (* newest first *)
+  let next_id = ref 0
+
+  (* Recompute the dispatch state from the registry; under
+     [registry_mu].  The armed word is written last, so a site that
+     sees a bit set finds the state behind it in place. *)
+  let rearm () =
+    let subs = List.rev !registry in
+    let route site =
+      Array.of_list
+        (List.filter_map
+           (fun s ->
+             match s.party with
+             | Observer o when List.mem site o.sites -> Some o.on
+             | _ -> None)
+           subs)
+    in
+    let dec =
+      List.fold_left
+        (fun d s -> match s.party with Decider h -> Some h | Observer _ -> d)
+        None subs
+    in
+    let has p = List.exists p subs in
+    let asks ss =
+      has (fun s ->
+          match s.party with
+          | Observer o -> List.exists (fun x -> List.mem x ss) o.sites
+          | Decider _ -> false)
+    in
+    let bit b c = if c then b else 0 in
+    Atomic.set routes (Array.of_list (List.map route sites));
+    Atomic.set decider (Option.value dec ~default:null_decider);
+    if not (has (fun s -> s.timed)) then Atomic.set clock no_clock;
+    Atomic.set armed
+      (bit observing (has (fun s -> match s.party with Observer _ -> true | _ -> false))
+      lor bit decisions
+            (dec <> None || asks [ Lock_acquire; Validate; Pre_commit; Post_commit ])
+      lor bit stamping (has (fun s -> s.stamp))
+      lor bit timing (has (fun s -> s.timed))
+      lor bit locks (asks [ Locked; Released; Published ])
+      lor bit phases (asks [ Lock_time; Validate_time; Publish_time ])
+      lor bit reads (dec <> None || asks [ Read ])
+      lor bit begins (asks [ Begin ] || has (fun s -> s.timed)))
+
+  let subscribe ?clock:c ?(stamp = false) party =
+    Mutex.protect registry_mu (fun () ->
+        incr next_id;
+        let s = { id = !next_id; party; stamp; timed = c <> None } in
+        registry := s :: !registry;
+        Option.iter (Atomic.set clock) c;
+        rearm ();
+        s)
+
+  let unsubscribe s =
+    Mutex.protect registry_mu (fun () ->
+        registry := List.filter (fun s' -> s'.id <> s.id) !registry;
+        rearm ())
+
+  let active s =
+    Mutex.protect registry_mu (fun () ->
+        List.exists (fun s' -> s'.id = s.id) !registry)
+
+  let reset () =
+    Mutex.protect registry_mu (fun () ->
+        registry := [];
+        rearm ())
+
+  (* A replaceable subscription, for parties of which at most one is
+     installed at a time (the trace recorder, the chaos plan, the blame
+     sink, the telemetry probe): filling a slot drops its previous
+     occupant. *)
+  type slot = subscription option Atomic.t
+
+  let slot () : slot = Atomic.make None
+  let fill (sl : slot) s = Option.iter unsubscribe (Atomic.exchange sl (Some s))
+  let vacate (sl : slot) = Option.iter unsubscribe (Atomic.exchange sl None)
+  let filled (sl : slot) = match Atomic.get sl with Some s -> active s | None -> false
+
+  (* Everything below is only called from an armed branch
+     ([if m <> 0 then ...] with [m = Atomic.get armed]) and does not
+     re-check the word.  Each site makes one call: the decision,
+     delivery and timing a site needs are folded into that call. *)
+
+  let[@inline] deliver fs site tvar arg =
+    for i = 0 to Array.length fs - 1 do
+      (Array.unsafe_get fs i) site tvar arg
+    done
+
+  let[@inline] emit m site tvar arg =
+    if m land observing <> 0 then begin
+      let fs = Array.unsafe_get (Atomic.get routes) (fst (info site)) in
+      if Array.length fs > 0 then deliver fs site tvar arg
+    end
 
   let stall n =
     for _ = 1 to n do
       Domain.cpu_relax ()
     done
 
-  let decide p = if Atomic.get armed then (Atomic.get handler) p else Proceed
+  (* A decision site: the decider's action, with a [Stall] already
+     spun (and answered as [Proceed]); unless the attempt is to abort
+     or crash, the event is delivered.  Commit paths interpret [Abort]
+     and [Crash] themselves, so an [Abort] can back out whatever the
+     core already holds (and a [Crash] deliberately does not). *)
+  let[@inline] decide m site tvar =
+    let a = if m land decisions <> 0 then (Atomic.get decider) site else Proceed in
+    match a with
+    | Proceed -> emit m site tvar 0; Proceed
+    | Stall n -> stall n; emit m site tvar 0; Proceed
+    | Abort | Crash -> a
 
-  (* Interpretation for points where the domain holds no commit locks;
-     commit paths interpret actions themselves so an [Abort] can back
-     out whatever the core already holds (and a [Crash] deliberately
-     does not).  At [Post_commit] the transaction has already taken
-     effect: there is nothing left to abort, so [Abort] proceeds — a
-     retry would apply the committed body a second time. *)
-  let fire p =
-    match decide p with
-    | Proceed -> ()
-    | Stall n -> stall n
-    | Abort -> ( match p with Post_commit -> () | _ -> raise Conflict)
+  (* A decision site where the domain holds no commit locks.  At
+     [Post_commit] the transaction has already taken effect: there is
+     nothing left to abort, so [Abort] proceeds — a retry would apply
+     the committed body a second time. *)
+  let fire m site tvar =
+    match decide m site tvar with
+    | Proceed | Stall _ -> ()
+    | Abort -> if site = Post_commit then emit m site tvar 0 else raise Conflict
     | Crash -> raise Crashed
-end
 
-(* Always-on telemetry.  Third user of the zero-cost discipline of
-   [Trace] and [Chaos]: every instrumented event costs one [Atomic.get]
-   on [armed] while no probe is installed, and the probe record is only
-   loaded once armed.  The probe supplies its own clock so this module
-   stays clock-library-agnostic; [now] must be monotone and its unit is
-   whatever the installer counts in (tm_telemetry installs nanoseconds).
-   Durations handed to [observe] are [now] deltas in that unit. *)
-module Tel = struct
-  type phase = Begin | Read | Lock | Validate | Publish | Commit | Abort
+  (* The clock is only read while a subscriber supplied one. *)
+  let[@inline] now m = if m land timing <> 0 then (Atomic.get clock) () else 0
 
-  type probe = {
-    now : unit -> int;
-    count : phase -> unit;
-    observe : phase -> int -> unit;
-  }
+  (* The domain's latest [Publish_time] reading: the facade's
+     commit-end reading reuses it instead of reading the clock again. *)
+  let published_at : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
-  let null_probe =
-    { now = (fun () -> 0); count = (fun _ -> ()); observe = (fun _ _ -> ()) }
+  (* End of a timed phase begun at [t0]: emit its duration and return
+     the reading, which starts the next phase. *)
+  let lap m site t0 =
+    let t = now m in
+    emit m site (-1) (t - t0);
+    if site = Publish_time && m land timing <> 0 then Domain.DLS.get published_at := t;
+    t
 
-  let armed = Atomic.make false
-  let probe = Atomic.make null_probe
+  (* An attempt begins at [site] ([Begin], argument the attempt
+     number [n]): emit it, return the start reading. *)
+  let start m site n =
+    emit m site (-1) n;
+    now m
 
-  let install p =
-    Atomic.set probe p;
-    Atomic.set armed true
+  (* An attempt begun at [t0] ends at [site], which carries its
+     duration.  A commit's end reading is the core's [Publish_time]
+     reading when it took one during the attempt (the clock is
+     monotone, so an older one is <= [t0]), else the clock. *)
+  let finish m site t0 =
+    let t =
+      if m land timing = 0 then 0
+      else if site = Commit then
+        let p = !(Domain.DLS.get published_at) in
+        if p > t0 then p else now m
+      else now m
+    in
+    emit m site (-1) (t - t0)
 
-  let uninstall () =
-    Atomic.set armed false;
-    Atomic.set probe null_probe
-
-  let is_armed () = Atomic.get armed
-
-  let phase_label = function
-    | Begin -> "begin"
-    | Read -> "read"
-    | Lock -> "lock-acquire"
-    | Validate -> "validate"
-    | Publish -> "publish"
-    | Commit -> "commit"
-    | Abort -> "abort"
-end
-
-(* Blame attribution.  Fourth user of the zero-cost seam discipline:
-   every abort/steal/wait decision site in the cores costs one
-   [Atomic.get] on [armed] while no sink is installed.  When armed, the
-   cores additionally stamp ownership (tvar [owner], locator [l_owner])
-   with the emitter's plan slot so the aggressor of a conflict can be
-   named; disarmed they never touch those words, so the fast path is
-   byte-identical to the pre-blame one.
-
-   Identity is the {e plan slot} (0..domains-1) of the worker's domain,
-   not the raw [Domain.self ()]: the chaos runner assigns slots, one
-   live transaction per slot, so slot = transaction for attribution
-   purposes and the graph is comparable across runs.  Code running
-   outside a slotted worker reports -1 ("unknown"). *)
-module Blame = struct
-  type cause = Read_conflict | Lock_busy | Validation | Stolen | Wait_budget
-
-  type event = {
-    b_victim : int;  (** slot whose attempt is impeded (-1 unknown) *)
-    b_aggressor : int;  (** slot held responsible (-1 unknown) *)
-    b_tvar : int;  (** t-variable id the conflict was on (-1 none) *)
-    b_cause : cause;
-  }
-
-  type sink = { on_event : event -> unit; on_progress : int -> unit }
-
-  let null_sink = { on_event = (fun _ -> ()); on_progress = (fun _ -> ()) }
-  let armed = Atomic.make false
-  let sink = Atomic.make null_sink
-
-  let install s =
-    Atomic.set sink s;
-    Atomic.set armed true
-
-  let uninstall () =
-    Atomic.set armed false;
-    Atomic.set sink null_sink
-
-  let is_armed () = Atomic.get armed
-
-  let cause_label = function
-    | Read_conflict -> "read-conflict"
-    | Lock_busy -> "lock-busy"
-    | Validation -> "validation"
-    | Stolen -> "stolen"
-    | Wait_budget -> "wait-budget"
-
-  let causes =
-    [ Read_conflict; Lock_busy; Validation; Stolen; Wait_budget ]
-
+  (* Identity is the {e plan slot} (0..domains-1) of the worker's
+     domain, not the raw [Domain.self ()]: the chaos runner assigns
+     slots, one live transaction per slot, so slot = transaction for
+     attribution and a blame graph is comparable across runs.  Code
+     running outside a slotted worker reports -1 ("unknown"). *)
   let slot_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref (-1))
   let set_self s = Domain.DLS.get slot_key := s
   let self () = !(Domain.DLS.get slot_key)
-
-  (* Only called from armed-guarded sites; no second [armed] check.
-     [emit_event] is for the one site where the emitter is the
-     aggressor (the DSTM steal); everywhere else the victim reports
-     its own impediment via [emit]. *)
-  let emit_event ~victim ~aggressor ~tvar cause =
-    (Atomic.get sink).on_event
-      { b_victim = victim; b_aggressor = aggressor; b_tvar = tvar; b_cause = cause }
-
-  let emit ~aggressor ~tvar cause =
-    emit_event ~victim:(self ()) ~aggressor ~tvar cause
-
-  let progress () =
-    if Atomic.get armed then (Atomic.get sink).on_progress (self ())
 end
-
 (* Versioned-lock helpers (TL2's vlock word: even = unlocked, value is
    version << 1; odd = locked by a committing transaction). *)
 let locked v = v land 1 = 1
@@ -477,23 +504,19 @@ module Wlog = struct
 end
 
 (* Write-back for the serialized cores (global-lock, norec), whose one
-   held lock stands for every t-variable lock: the trace shows the write
-   set acquired, published and released under it so the lock-discipline
-   lints see a coherent protocol. *)
+   held lock stands for every t-variable lock: observers see the write
+   set locked, then published (which releases) under it, so the
+   lock-discipline lints see a coherent protocol. *)
 let write_back w =
   let n = Wlog.length w in
-  let tr = Atomic.get Trace.tracing in
-  if tr then
+  let m = Atomic.get Obs.armed in
+  if m land Obs.locks <> 0 then
     for k = 0 to n - 1 do
-      Trace.emit Tev.Lock "acquire" Tev.Instant
-        [ ("tvar", Tev.Int (Wlog.handle w k).h_id); ("order", Tev.Int k) ]
+      Obs.emit m Obs.Locked (Wlog.handle w k).h_id k
     done;
   for i = 0 to n - 1 do
     let h = Wlog.handle w i in
-    if tr then begin
-      Trace.emit Tev.Txn "publish" Tev.Instant [ ("tvar", Tev.Int h.h_id) ];
-      Trace.emit Tev.Lock "release" Tev.Instant [ ("tvar", Tev.Int h.h_id) ]
-    end;
+    if m land Obs.locks <> 0 then Obs.emit m Obs.Published h.h_id 0;
     h.h_set (Wlog.value w i)
   done
 
@@ -522,8 +545,8 @@ let rec snapshot_read tv =
 let spin_budget = 1 lsl 14
 
 (* Per-algorithm core.  A core supplies the transaction engine; the
-   [Stm] facade owns the retry loop (backoff, trace attempt spans, Tel
-   Begin/Commit/Abort timing, per-domain commit/abort counters) and the
+   [Stm] facade owns the retry loop (backoff, the attempt-lifecycle
+   sites and their timing, per-domain commit/abort counters) and the
    per-domain current-transaction slot.
 
    Contract:
@@ -531,10 +554,10 @@ let spin_budget = 1 lsl 14
      [read]/[write]/[commit] where the re-run transaction body keeps
      external stop-flags observable.
    - [read]/[write]/[commit] raise [Conflict] to abort the attempt and
-     may raise [Chaos.Crashed]; before re-running (or on any other
+     may raise [Obs.Crashed]; before re-running (or on any other
      exception) the facade calls [abort_cleanup], which must be
      idempotent and release everything the attempt still holds.
-     [abort_cleanup] is never called after [Chaos.Crashed]: a crashed
+     [abort_cleanup] is never called after [Obs.Crashed]: a crashed
      transaction keeps whatever it holds, by design.
    - [commit] returning normally means the transaction took effect;
      the core has released everything. *)

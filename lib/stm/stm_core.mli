@@ -2,11 +2,10 @@
 
     This module is the algorithm-independent half of [lib/stm]: the
     t-variable representation, the write log {!Wlog}, the observation
-    seams ([Trace], [Chaos], [Tel], [Blame]) and the core interface {!S}
-    each algorithm implements.  User code should go through the {!Stm} facade; the
+    seam {!Obs} and the core interface {!S} each algorithm implements.  User code should go through the {!Stm} facade; the
     types here are exposed so the cores ([Stm_tl2], [Stm_glock],
     [Stm_dstm], [Stm_norec]) can share one t-variable type and so the
-    facade can re-export the seams unchanged. *)
+    facade can re-export the seam unchanged. *)
 
 type univ = exn
 (** The universal type: values of any ['a] are injected via a
@@ -22,7 +21,7 @@ type locator = {
     cell, shared across all its locators: 0 = active, 1 = committed,
     2 = aborted; transitions are monotone and terminal.  Only the DSTM
     core reads or writes locators.  [l_owner] is the installing
-    domain's plan slot when the {!Blame} seam is armed (-1 otherwise):
+    domain's plan slot while an observer stamps ownership (-1 otherwise):
     it lets a stealer name the victim of its abort. *)
 
 type handle = {
@@ -44,7 +43,7 @@ type 'a tvar = {
   locator : locator Atomic.t;
   owner : int Atomic.t;
       (** plan slot of the last lock holder / committed writer, written
-          only while {!Blame} is armed (-1 = unknown) *)
+          only while an observer stamps ownership (-1 = unknown) *)
   inj : 'a -> univ;
   proj : univ -> 'a;
       (** inverse of [inj]; only ever applied to this t-variable's own
@@ -70,122 +69,129 @@ exception Conflict
     loop.  Cores also convert bounded-spin exhaustion behind a stranded
     lock into [Conflict] so starving domains stay observable. *)
 
-(** Runtime tracing; see [Stm.Trace] for the user-facing contract. *)
-module Trace : sig
-  val tracing : bool Atomic.t
-  (** The armed flag, exposed so hot paths can do a single
-      [Atomic.get]. *)
+(** The observation seam; see [Stm.Obs] for the user-facing contract
+    and [Stm.Algo.sites] for which core reaches which site.
 
-  val start : ?capacity:int -> unit -> unit
-  val start_null : unit -> unit
-  val stop : unit -> unit
-  val is_on : unit -> bool
+    A site loads {!Obs.armed} once and does nothing else while it reads
+    0: [let m = Atomic.get Obs.armed in if m <> 0 then Obs.fire m ...].
+    Everything that dispatches ({!Obs.emit}, {!Obs.fire},
+    {!Obs.decide}, {!Obs.lap}, {!Obs.now}) is only called from such an
+    armed branch and does not re-check the word. *)
+module Obs : sig
+  type site =
+    | Begin
+    | Read
+    | Read_conflict
+    | Lock_acquire
+    | Locked
+    | Lock_busy
+    | Released
+    | Lock_time
+    | Validate
+    | Validation
+    | Validate_time
+    | Stolen
+    | Wait_budget
+    | Pre_commit
+    | Published
+    | Publish_time
+    | Post_commit
+    | Commit
+    | Abort
+    | Retry
+    | Exception
+    | Backoff
 
-  val emit :
-    Tm_trace.Trace_event.category ->
-    string ->
-    Tm_trace.Trace_event.phase ->
-    (string * Tm_trace.Trace_event.arg) list ->
-    unit
+  val sites : site list
+  (** Every site, in declaration order. *)
 
-  val events : unit -> Tm_trace.Trace_event.t list
-  val dropped : unit -> int
-  val emitted : unit -> int
-end
+  val site_label : site -> string
 
-(** Deterministic fault-injection points; see [Stm.Chaos] for the
-    user-facing contract and [Stm.Algo] for where each core fires each
-    point. *)
-module Chaos : sig
-  type point = Read | Validate | Lock_acquire | Pre_commit | Post_commit
   type action = Proceed | Abort | Stall of int | Crash
 
   exception Crashed
 
-  val armed : bool Atomic.t
-  val install : (point -> action) -> unit
-  val uninstall : unit -> unit
-  val is_armed : unit -> bool
-  val point_label : point -> string
-  val stall : int -> unit
+  type observer = site -> int -> int -> unit
 
-  val decide : point -> action
-  (** Consult the handler (or [Proceed] when disarmed). *)
+  type party =
+    | Observer of { sites : site list; on : observer }
+        (** delivered the events of [sites] only *)
+    | Decider of (site -> action)
 
-  val fire : point -> unit
-  (** [decide] plus the no-locks-held interpretation: [Abort] raises
-      {!Conflict} (except at [Post_commit], where the transaction has
-      already taken effect and [Abort] proceeds), [Crash] raises
-      {!Crashed}.  Commit paths that hold locks interpret {!decide}
-      themselves. *)
-end
+  type subscription
 
-(** Always-on telemetry probe; see [Stm.Tel] for the user-facing
-    contract. *)
-module Tel : sig
-  type phase = Begin | Read | Lock | Validate | Publish | Commit | Abort
+  val armed : int Atomic.t
+  (** The armed word: 0 while nothing is subscribed, else a set of bits.
+      Among them, the ones sites test: [observing] (an observer),
+      [decisions] (a decider, or an observer of a decision site other
+      than [Read]), [reads] (a decider, or an observer of [Read]),
+      [begins] (an observer of [Begin], or a clock), [stamping] (an
+      observer asked for ownership stamps), [locks] (an observer of
+      [Locked]/[Released]/[Published]) and [phases] (an observer of the
+      [*_time] sites). *)
 
-  type probe = {
-    now : unit -> int;
-    count : phase -> unit;
-    observe : phase -> int -> unit;
-  }
+  val observing : int
+  val decisions : int
+  val reads : int
+  val begins : int
+  val stamping : int
+  val locks : int
+  val phases : int
 
-  val null_probe : probe
-  val armed : bool Atomic.t
-  val probe : probe Atomic.t
-  val install : probe -> unit
-  val uninstall : unit -> unit
-  val is_armed : unit -> bool
-  val phase_label : phase -> string
-end
+  val subscribe : ?clock:(unit -> int) -> ?stamp:bool -> party -> subscription
+  val unsubscribe : subscription -> unit
 
-(** Blame attribution seam; see [Stm.Blame] for the user-facing
-    contract.  Cores guard every emission site (and every ownership
-    stamp) with one [Atomic.get] on {!Blame.armed}, so the disarmed
-    fast path is byte-identical to the pre-blame one. *)
-module Blame : sig
-  type cause = Read_conflict | Lock_busy | Validation | Stolen | Wait_budget
+  val reset : unit -> unit
+  (** Drop every subscription and disarm. *)
 
-  type event = {
-    b_victim : int;  (** slot whose attempt is impeded (-1 unknown) *)
-    b_aggressor : int;  (** slot held responsible (-1 unknown) *)
-    b_tvar : int;  (** t-variable id the conflict was on (-1 none) *)
-    b_cause : cause;
-  }
+  type slot
+  (** A replaceable subscription: at most one occupant. *)
 
-  type sink = { on_event : event -> unit; on_progress : int -> unit }
+  val slot : unit -> slot
 
-  val null_sink : sink
-  val armed : bool Atomic.t
-  val install : sink -> unit
-  val uninstall : unit -> unit
-  val is_armed : unit -> bool
-  val cause_label : cause -> string
+  val fill : slot -> subscription -> unit
+  (** Occupy the slot, unsubscribing its previous occupant. *)
 
-  val causes : cause list
-  (** Every cause, in label order — the stable axis of exported
-      histograms. *)
+  val vacate : slot -> unit
+  (** Unsubscribe the occupant, if any (idempotent). *)
+
+  val filled : slot -> bool
+  (** The occupant is still subscribed ({!reset} vacates every slot). *)
+
+  val emit : int -> site -> int -> int -> unit
+  (** [emit m site tvar arg]: deliver one event to the observers that
+      asked for [site]. *)
+
+  val decide : int -> site -> int -> action
+  (** [decide m site tvar] at a decision site: the decider's action
+      ([Proceed] when none).  A [Stall] is spun here and answered as
+      [Proceed]; unless the answer is [Abort] or [Crash] the event is
+      delivered. *)
+
+  val fire : int -> site -> int -> unit
+  (** {!decide} with the no-locks-held interpretation: [Abort] raises
+      {!Conflict} (except at [Post_commit], where it proceeds), [Crash]
+      raises {!Crashed}. *)
+
+  val now : int -> int
+  (** [now m]: the subscribed clock (0 while none is, per [m]). *)
+
+  val lap : int -> site -> int -> int
+  (** [lap m site t0]: read the clock, emit the duration since [t0] at
+      [site], return the reading. *)
+
+  val start : int -> site -> int -> int
+  (** [start m Begin n]: emit the start of attempt [n], return the
+      start reading. *)
+
+  val finish : int -> site -> int -> unit
+  (** [finish m site t0]: emit the attempt-outcome [site] with the
+      duration since [t0].  A [Commit] ends at the core's
+      [Publish_time] reading when it took one during the attempt, so
+      the clock is not read twice. *)
 
   val set_self : int -> unit
-  (** Bind the calling domain's plan slot (its blame identity).  Set by
-      the chaos runner's workers; unset domains report -1. *)
-
   val self : unit -> int
-
-  val emit : aggressor:int -> tvar:int -> cause -> unit
-  (** Deliver one event to the sink, victim = the calling domain's
-      slot.  Call only from an armed-guarded site: [emit] itself does
-      not re-check {!armed}. *)
-
-  val emit_event : victim:int -> aggressor:int -> tvar:int -> cause -> unit
-  (** [emit] with an explicit victim — for the one site where the
-      emitter is the aggressor (the DSTM steal names the locator's
-      installer as victim).  Same armed-guarded contract. *)
-
-  val progress : unit -> unit
-  (** Commit watermark tick for the calling domain's slot; checks
-      {!armed} itself (one atomic load when disarmed). *)
 end
 
 (** {1 Versioned-lock helpers (TL2's vlock word)} *)
@@ -233,9 +239,9 @@ end
 
 val write_back : Wlog.t -> unit
 (** Publish every logged value, in id order, for a core that holds one
-    lock standing for all t-variable locks (global-lock, norec); when
-    tracing, each t-variable shows as acquired, published and released
-    under it. *)
+    lock standing for all t-variable locks (global-lock, norec);
+    observers see each t-variable [Locked], then [Published] under
+    it. *)
 
 val snapshot_read : 'a tvar -> 'a
 (** Direct atomic snapshot read through the vlock seqlock. *)
@@ -248,8 +254,8 @@ val spin_budget : int
 (** {1 The per-algorithm core interface}
 
     A core supplies the transaction engine; the [Stm] facade owns the
-    retry loop (backoff, trace attempt spans, Tel Begin/Commit/Abort
-    timing, per-domain commit/abort counters) and the per-domain
+    retry loop (backoff, the attempt-lifecycle sites and their timing,
+    per-domain commit/abort counters) and the per-domain
     current-transaction slot.
 
     Contract:
@@ -257,10 +263,10 @@ val spin_budget : int
       [read]/[write]/[commit] where the re-run transaction body keeps
       external stop-flags observable.
     - [read]/[write]/[commit] raise {!Conflict} to abort the attempt
-      and may raise [Chaos.Crashed]; before re-running (or on any
+      and may raise [Obs.Crashed]; before re-running (or on any
       other exception) the facade calls [abort_cleanup], which must be
       idempotent and release everything the attempt still holds.
-      [abort_cleanup] is never called after [Chaos.Crashed]: a crashed
+      [abort_cleanup] is never called after [Obs.Crashed]: a crashed
       transaction keeps whatever it holds, by design.
     - [commit] returning normally means the transaction took effect
       and the core has released everything.

@@ -30,26 +30,25 @@
    snapshots because every read revalidates the whole read set
    (opacity).
 
-   Chaos mapping: [Read] before each (non-own) read, [Lock_acquire]
+   Decision sites: [Read] before each (non-own) read, [Lock_acquire]
    before each ownership acquisition, [Validate]/[Pre_commit] around
    commit-time validation with ownerships held, [Post_commit] after
    the commit CAS.  A crash leaves the status cell active forever:
    the crashed-owner adversary that lock-based cores cannot survive
    and this one shrugs off.
 
-   Seam sites here are under static contract: every Tel/Chaos/Blame
-   emission must match [Stm.Algo]'s announcement for Dstm and sit
-   behind its armed guard (tmlive static: seam-contract/seam-guard). *)
+   Observation sites here are under static contract: every [Obs] site
+   must match [Stm.Algo.sites] for Dstm and sit behind the armed word
+   (tmlive static: seam-contract/seam-guard). *)
 
 open Stm_core
-module Tev = Tm_trace.Trace_event
 
 let algo_name = "dstm"
 
 type dread = {
   dr_id : int;
   dr_check : unit -> bool;
-  dr_owner : unit -> int;  (** blame: installer slot of the current locator *)
+  dr_owner : unit -> int;  (** installer slot of the current locator *)
 }
 
 (* Own-write journal: read-own-write must keep answering with the
@@ -73,16 +72,15 @@ let committed_univ tv =
   let loc = Atomic.get tv.locator in
   if Atomic.get loc.l_status = 1 then loc.l_new else loc.l_old
 
+(* The one aggressor-side site: only a successful steal aborts someone,
+   and only the stealer knows it happened (the victim's commit CAS
+   failure later is this same edge, so it stays silent).  Its argument
+   is the victim, the slot recorded in the locator. *)
 let steal loc tv =
-  if Atomic.get Trace.tracing then
-    Trace.emit Tev.Txn "steal" Tev.Instant [ ("tvar", Tev.Int tv.id) ];
-  let stolen = Atomic.compare_and_set loc.l_status 0 2 in
-  (* The one aggressor-side blame site: only a successful steal aborts
-     someone, and only the stealer knows it happened (the victim's
-     commit CAS failure later is this same edge, so it stays silent). *)
-  if stolen && Atomic.get Blame.armed then
-    Blame.emit_event ~victim:loc.l_owner ~aggressor:(Blame.self ())
-      ~tvar:tv.id Blame.Stolen
+  if Atomic.compare_and_set loc.l_status 0 2 then begin
+    let m = Atomic.get Obs.armed in
+    if m <> 0 then Obs.emit m Obs.Stolen tv.id loc.l_owner
+  end
 
 (* Resolve [tv] for this transaction: own tentative value, or the
    stable value of a terminal locator (stealing any foreign active
@@ -108,20 +106,16 @@ let validate t =
   match first_invalid t.d_reads with
   | None -> ()
   | Some bad ->
-      if Atomic.get Trace.tracing then
-        Trace.emit Tev.Validation "read-invalid" Tev.Instant
-          [ ("tvar", Tev.Int bad.dr_id) ];
-      if Atomic.get Blame.armed then
-        Blame.emit ~aggressor:(bad.dr_owner ()) ~tvar:bad.dr_id
-          Blame.Validation;
+      let m = Atomic.get Obs.armed in
+      if m <> 0 then Obs.emit m Obs.Validation bad.dr_id (bad.dr_owner ());
       raise Conflict
 
 let read (type a) t (tv : a tvar) : a =
   match List.find_opt (fun w -> w.dw_id = tv.id) t.d_writes with
   | Some w -> tv.proj w.dw_val (* read-own-write, served from the journal *)
   | None ->
-      if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
-      if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
+      let m = Atomic.get Obs.armed in
+      if m land Obs.reads <> 0 then Obs.fire m Obs.Read tv.id;
       let u = resolve t tv in
       (* Incremental validation: the new value joined to the prior
          reads must still be one consistent snapshot (opacity for
@@ -142,7 +136,8 @@ let write (type a) t (tv : a tvar) (x : a) : unit =
     let loc = Atomic.get tv.locator in
     if loc.l_status == t.d_status then loc.l_new <- u
     else begin
-      if Atomic.get Chaos.armed then Chaos.fire Chaos.Lock_acquire;
+      let m = Atomic.get Obs.armed in
+      if m land Obs.decisions <> 0 then Obs.fire m Obs.Lock_acquire tv.id;
       let st = Atomic.get loc.l_status in
       if st = 0 then begin
         steal loc tv;
@@ -150,9 +145,7 @@ let write (type a) t (tv : a tvar) (x : a) : unit =
       end
       else
         let old = if st = 1 then loc.l_new else loc.l_old in
-        let l_owner =
-          if Atomic.get Blame.armed then Blame.self () else -1
-        in
+        let l_owner = if m land Obs.stamping <> 0 then Obs.self () else -1 in
         let loc' = { l_status = t.d_status; l_old = old; l_new = u; l_owner } in
         if not (Atomic.compare_and_set tv.locator loc loc') then acquire ()
     end
@@ -163,27 +156,19 @@ let write (type a) t (tv : a tvar) (x : a) : unit =
   | None -> t.d_writes <- { dw_id = tv.id; dw_val = u } :: t.d_writes
 
 let commit t =
-  let tel = Atomic.get Tel.armed in
-  let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
-  (* [Chaos.fire]'s interpretation is right even with ownerships held:
-     an [Abort] raises [Conflict] and the facade's [abort_cleanup]
-     revokes them (one status CAS); a [Crash] leaves them active. *)
-  if Atomic.get Chaos.armed then Chaos.fire Chaos.Validate;
-  let t0 = if tel then tp.Tel.now () else 0 in
+  let m = Atomic.get Obs.armed in
+  (* [fire]'s interpretation is right even with ownerships held: an
+     [Abort] raises [Conflict] and the facade's [abort_cleanup] revokes
+     them (one status CAS); a [Crash] leaves them active. *)
+  if m land Obs.decisions <> 0 then Obs.fire m Obs.Validate (-1);
+  let t0 = if m land Obs.phases <> 0 then Obs.now m else 0 in
   validate t;
-  let t1 =
-    if tel then begin
-      let t' = tp.Tel.now () in
-      tp.Tel.observe Tel.Validate (t' - t0);
-      t'
-    end
-    else 0
-  in
-  if Atomic.get Chaos.armed then Chaos.fire Chaos.Pre_commit;
+  let t1 = if m land Obs.phases <> 0 then Obs.lap m Obs.Validate_time t0 else 0 in
+  if m land Obs.decisions <> 0 then Obs.fire m Obs.Pre_commit (-1);
   (* The whole commit: one CAS.  Failure means a rival stole us. *)
   if not (Atomic.compare_and_set t.d_status 0 1) then raise Conflict;
-  if tel then tp.Tel.observe Tel.Publish (tp.Tel.now () - t1);
-  if Atomic.get Chaos.armed then Chaos.fire Chaos.Post_commit
+  if m land Obs.phases <> 0 then ignore (Obs.lap m Obs.Publish_time t1);
+  if m land Obs.decisions <> 0 then Obs.fire m Obs.Post_commit (-1)
 
 (* Revoke: one terminal status CAS abandons every owned locator at its
    old value.  Idempotent, and a no-op on a committed/stolen cell. *)

@@ -14,7 +14,7 @@
    starving domain keeps re-running its transaction body (where stop
    flags live) instead of deadlocking inside the runtime.
 
-   Chaos mapping: [Lock_acquire] fires before each serializer
+   Decision sites: [Lock_acquire] fires before each serializer
    acquisition attempt (holding nothing — this also keeps a starving
    peer's op clock ticking); [Read] fires before each read, *after*
    the serializer is held, so an in-transaction crash deterministically
@@ -22,9 +22,9 @@
    [Post_commit] after release.  [Validate] never fires: there is
    nothing to validate.
 
-   Seam sites here are under static contract: every Tel/Chaos/Blame
-   emission must match [Stm.Algo]'s announcement for Global_lock and
-   sit behind its armed guard (tmlive static: seam-contract/guard). *)
+   Observation sites here are under static contract: every [Obs] site
+   must match [Stm.Algo.sites] for Global_lock and sit behind the
+   armed word (tmlive static: seam-contract/seam-guard). *)
 
 open Stm_core
 
@@ -49,7 +49,7 @@ let yield_spins = 512
 (* Blame identity of the current/last serializer holder: [last_holder]
    stores a raw [Domain.self] for the fairness yield and is useless
    for attribution, so the plan slot is tracked separately (written
-   only while the Blame seam is armed). *)
+   only while an observer stamps ownership). *)
 let blame_holder = Atomic.make (-1)
 
 (* One transaction record per domain, reused by every transaction the
@@ -73,15 +73,14 @@ let release t =
     Atomic.set big_lock 0
   end
 
-(* Acquire the serializer, bounded.  [Chaos.fire] may raise [Conflict]
-   or [Crashed] while we hold nothing; spin exhaustion raises
-   [Conflict] (the facade's cleanup finds nothing held). *)
+(* Acquire the serializer, bounded.  The [Lock_acquire] decision may
+   raise [Conflict] or [Crashed] while we hold nothing; spin exhaustion
+   raises [Conflict] (the facade's cleanup finds nothing held). *)
 let ensure_locked t =
   if not t.held then begin
-    if Atomic.get Chaos.armed then Chaos.fire Chaos.Lock_acquire;
-    let tel = Atomic.get Tel.armed in
-    let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
-    let t0 = if tel then tp.Tel.now () else 0 in
+    let m = Atomic.get Obs.armed in
+    if m land Obs.decisions <> 0 then Obs.fire m Obs.Lock_acquire (-1);
+    let t0 = if m land Obs.phases <> 0 then Obs.now m else 0 in
     let me = (Domain.self () :> int) in
     if Atomic.get last_holder = me && Atomic.get waiters > 0 then
       for _ = 1 to yield_spins do
@@ -95,9 +94,8 @@ let ensure_locked t =
           let rec spin budget =
             if Atomic.compare_and_set big_lock 0 1 then ()
             else if budget <= 0 then begin
-              if Atomic.get Blame.armed then
-                Blame.emit ~aggressor:(Atomic.get blame_holder) ~tvar:(-1)
-                  Blame.Wait_budget;
+              if m <> 0 then
+                Obs.emit m Obs.Wait_budget (-1) (Atomic.get blame_holder);
               raise Conflict
             end
             else begin
@@ -108,9 +106,9 @@ let ensure_locked t =
           spin spin_budget)
     end;
     Atomic.set last_holder me;
-    if Atomic.get Blame.armed then Atomic.set blame_holder (Blame.self ());
+    if m land Obs.stamping <> 0 then Atomic.set blame_holder (Obs.self ());
     t.held <- true;
-    if tel then tp.Tel.observe Tel.Lock (tp.Tel.now () - t0)
+    if m land Obs.phases <> 0 then ignore (Obs.lap m Obs.Lock_time t0)
   end
 
 let read (type a) t (tv : a tvar) : a =
@@ -118,8 +116,8 @@ let read (type a) t (tv : a tvar) : a =
   if i >= 0 then tv.proj (Wlog.value t.writes i) (* read-own-write *)
   else begin
     ensure_locked t;
-    if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
-    if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
+    let m = Atomic.get Obs.armed in
+    if m land Obs.reads <> 0 then Obs.fire m Obs.Read tv.id;
     Atomic.get tv.content
   end
 
@@ -128,27 +126,25 @@ let write (type a) t (tv : a tvar) (x : a) : unit =
   Wlog.add t.writes tv.handle (tv.inj x)
 
 let commit t =
-  let tel = Atomic.get Tel.armed in
-  let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
-  (* Chaos at [Pre_commit] holds the serializer: [Abort] releases it
-     (an ordinary conflict), [Crash] deliberately does not. *)
-  (if Atomic.get Chaos.armed then
-     match Chaos.decide Chaos.Pre_commit with
-     | Chaos.Proceed -> ()
-     | Chaos.Stall n -> Chaos.stall n
-     | Chaos.Abort ->
+  let m = Atomic.get Obs.armed in
+  (* [Pre_commit] holds the serializer: [Abort] releases it (an
+     ordinary conflict), [Crash] deliberately does not. *)
+  (if m land Obs.decisions <> 0 then
+     match Obs.decide m Obs.Pre_commit (-1) with
+     | Obs.Proceed | Obs.Stall _ -> ()
+     | Obs.Abort ->
          release t;
          raise Conflict
-     | Chaos.Crash -> raise Chaos.Crashed);
+     | Obs.Crash -> raise Obs.Crashed);
   let w = t.writes in
   if Wlog.length w > 0 then begin
-    let t0 = if tel then tp.Tel.now () else 0 in
+    let t0 = if m land Obs.phases <> 0 then Obs.now m else 0 in
     write_back w;
-    if tel then tp.Tel.observe Tel.Publish (tp.Tel.now () - t0)
+    if m land Obs.phases <> 0 then ignore (Obs.lap m Obs.Publish_time t0)
   end;
   Wlog.clear w;
   release t;
-  if Atomic.get Chaos.armed then Chaos.fire Chaos.Post_commit
+  if m land Obs.decisions <> 0 then Obs.fire m Obs.Post_commit (-1)
 
 let abort_cleanup t =
   Wlog.clear t.writes;

@@ -14,24 +14,23 @@
    aborts spuriously), and safe on contents a polymorphic [=] would
    refuse (closures inside txn_map/txn_list nodes).
 
-   Phase truthfulness: NOrec has no per-location lock-acquire phase, so
-   this core never emits [Tel.Lock] — acquiring the sequence lock *is*
-   validation (the CAS argument is the validated snapshot) and is
-   observed under [Tel.Validate]; write-back is [Tel.Publish].
+   Site truthfulness: NOrec has no per-location lock-acquire phase, so
+   this core never emits [Lock_time] — acquiring the sequence lock *is*
+   validation (the CAS argument is the validated snapshot) and is timed
+   as [Validate_time]; write-back is [Publish_time].
 
-   Chaos mapping: [Read] before each (non-own) read, [Validate] before
+   Decision sites: [Read] before each (non-own) read, [Validate] before
    commit-time lock acquisition (holding nothing), [Pre_commit] once
    the sequence lock is held — a [Crash] there strands it odd forever
    and every peer starves (bounded spins keep them observable), an
    [Abort] restores it — and [Post_commit] after release.
    [Lock_acquire] never fires.
 
-   Seam sites here are under static contract: every Tel/Chaos/Blame
-   emission must match [Stm.Algo]'s announcement for Norec and sit
-   behind its armed guard (tmlive static: seam-contract/seam-guard). *)
+   Observation sites here are under static contract: every [Obs] site
+   must match [Stm.Algo.sites] for Norec and sit behind the armed word
+   (tmlive static: seam-contract/seam-guard). *)
 
 open Stm_core
-module Tev = Tm_trace.Trace_event
 
 let algo_name = "norec"
 
@@ -39,7 +38,7 @@ let algo_name = "norec"
 let seqlock = Atomic.make 0
 
 (* Blame identity of the last committer (the slot that last won the
-   sequence-lock CAS), written only while the Blame seam is armed: a
+   sequence-lock CAS), written only while an observer stamps ownership: a
    peer whose value validation fails, or whose wait behind an odd lock
    exhausts its budget, blames this slot. *)
 let seq_owner = Atomic.make (-1)
@@ -112,9 +111,8 @@ let await_even () =
     let v = Atomic.get seqlock in
     if v land 1 = 0 then v
     else if budget <= 0 then begin
-      if Atomic.get Blame.armed then
-        Blame.emit ~aggressor:(Atomic.get seq_owner) ~tvar:(-1)
-          Blame.Wait_budget;
+      let m = Atomic.get Obs.armed in
+      if m <> 0 then Obs.emit m Obs.Wait_budget (-1) (Atomic.get seq_owner);
       raise Conflict
     end
     else begin
@@ -140,12 +138,8 @@ let rec revalidate t =
   let s = await_even () in
   let bad = newest_invalid t (t.r_n - 1) in
   if bad >= 0 then begin
-    let id = t.r_ids.(bad) in
-    if Atomic.get Trace.tracing then
-      Trace.emit Tev.Validation "read-invalid" Tev.Instant
-        [ ("tvar", Tev.Int id) ];
-    if Atomic.get Blame.armed then
-      Blame.emit ~aggressor:(Atomic.get seq_owner) ~tvar:id Blame.Validation;
+    let m = Atomic.get Obs.armed in
+    if m <> 0 then Obs.emit m Obs.Validation t.r_ids.(bad) (Atomic.get seq_owner);
     raise Conflict
   end;
   if Atomic.get seqlock = s then t.snap <- s else revalidate t
@@ -162,8 +156,8 @@ let read (type a) t (tv : a tvar) : a =
   let i = Wlog.find t.writes tv.id in
   if i >= 0 then tv.proj (Wlog.value t.writes i) (* read-own-write *)
   else begin
-    if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
-    if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
+    let m = Atomic.get Obs.armed in
+    if m land Obs.reads <> 0 then Obs.fire m Obs.Read tv.id;
     let v = sample t tv in
     log_read t tv.id (Seen (tv.content, v));
     v
@@ -186,36 +180,26 @@ let commit t =
   if n = 0 then finish t
     (* read-only: the read set was kept snapshot-consistent *)
   else begin
-    let tel = Atomic.get Tel.armed in
-    let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
-    if Atomic.get Chaos.armed then Chaos.fire Chaos.Validate;
-    let t0 = if tel then tp.Tel.now () else 0 in
+    let m = Atomic.get Obs.armed in
+    if m land Obs.decisions <> 0 then Obs.fire m Obs.Validate (-1);
+    let t0 = if m land Obs.phases <> 0 then Obs.now m else 0 in
     acquire t;
-    if Atomic.get Blame.armed then Atomic.set seq_owner (Blame.self ());
-    let t1 =
-      if tel then begin
-        let t' = tp.Tel.now () in
-        tp.Tel.observe Tel.Validate (t' - t0);
-        t'
-      end
-      else 0
-    in
-    (* Sequence lock held (odd): a chaos [Abort] must restore it, a
-       [Crash] deliberately leaves it odd — the stranded-seqlock
-       adversary. *)
-    (if Atomic.get Chaos.armed then
-       match Chaos.decide Chaos.Pre_commit with
-       | Chaos.Proceed -> ()
-       | Chaos.Stall n -> Chaos.stall n
-       | Chaos.Abort ->
+    if m land Obs.stamping <> 0 then Atomic.set seq_owner (Obs.self ());
+    let t1 = if m land Obs.phases <> 0 then Obs.lap m Obs.Validate_time t0 else 0 in
+    (* Sequence lock held (odd): an [Abort] must restore it, a [Crash]
+       deliberately leaves it odd — the stranded-seqlock adversary. *)
+    (if m land Obs.decisions <> 0 then
+       match Obs.decide m Obs.Pre_commit (-1) with
+       | Obs.Proceed | Obs.Stall _ -> ()
+       | Obs.Abort ->
            Atomic.set seqlock t.snap;
            raise Conflict
-       | Chaos.Crash -> raise Chaos.Crashed);
+       | Obs.Crash -> raise Obs.Crashed);
     write_back w;
     Atomic.set seqlock (t.snap + 2);
-    if tel then tp.Tel.observe Tel.Publish (tp.Tel.now () - t1);
+    if m land Obs.phases <> 0 then ignore (Obs.lap m Obs.Publish_time t1);
     finish t;
-    if Atomic.get Chaos.armed then Chaos.fire Chaos.Post_commit
+    if m land Obs.decisions <> 0 then Obs.fire m Obs.Post_commit (-1)
   end
 
 (* Conflict is only ever raised while the sequence lock is free (the

@@ -8,12 +8,11 @@
    Kuznetsov–Ravi sense: a transaction aborts only on a real data
    conflict (or a chaos fault).
 
-   Seam sites here are under static contract: every Tel/Chaos/Blame
-   emission must match [Stm.Algo]'s announcement for Tl2 and sit
-   behind its armed guard (tmlive static: seam-contract/seam-guard). *)
+   Observation sites here are under static contract: every [Obs] site
+   must match [Stm.Algo.sites] for Tl2 and sit behind the armed word
+   (tmlive static: seam-contract/seam-guard). *)
 
 open Stm_core
-module Tev = Tm_trace.Trace_event
 
 let algo_name = "tl2"
 let clock = Atomic.make 0
@@ -70,16 +69,16 @@ let log_read t h version =
   t.r_n <- t.r_n + 1
 
 let read_conflict tv =
-  if Atomic.get Blame.armed then
-    Blame.emit ~aggressor:(Atomic.get tv.owner) ~tvar:tv.id Blame.Read_conflict;
+  let m = Atomic.get Obs.armed in
+  if m <> 0 then Obs.emit m Obs.Read_conflict tv.id (Atomic.get tv.owner);
   raise Conflict
 
 let read (type a) t (tv : a tvar) : a =
   let i = Wlog.find t.writes tv.id in
   if i >= 0 then tv.proj (Wlog.value t.writes i) (* read-own-write *)
   else begin
-    if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
-    if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
+    let m = Atomic.get Obs.armed in
+    if m land Obs.reads <> 0 then Obs.fire m Obs.Read tv.id;
     let v1 = read_vlock tv in
     if locked v1 || version_of v1 > t.rv then read_conflict tv;
     let x = Atomic.get tv.content in
@@ -91,12 +90,12 @@ let read (type a) t (tv : a tvar) : a =
 let write (type a) t (tv : a tvar) (x : a) : unit =
   Wlog.add t.writes tv.handle (tv.inj x)
 
-(* Release one commit lock.  The release event is emitted before the
-   real unlock: once the vlock is even another domain can acquire it,
-   and its acquire event must sequence after ours. *)
+(* Release one commit lock.  The event is emitted before the real
+   unlock: once the vlock is even another domain can acquire it, and
+   its [Locked] event must sequence after ours. *)
 let unlock (h : handle) =
-  if Atomic.get Trace.tracing then
-    Trace.emit Tev.Lock "release" Tev.Instant [ ("tvar", Tev.Int h.h_id) ];
+  let m = Atomic.get Obs.armed in
+  if m land Obs.locks <> 0 then Obs.emit m Obs.Released h.h_id 0;
   let v = Atomic.get h.h_vlock in
   if locked v then Atomic.set h.h_vlock (v land lnot 1)
 
@@ -113,41 +112,36 @@ let release_in_order w held =
     unlock (Wlog.handle w i)
   done
 
-(* Chaos interception inside commit: [Abort] backs out held locks like
-   any conflict; [Crash] deliberately does not — a crashed lock holder
-   is the experiment. *)
-let chaos w held p =
-  if Atomic.get Chaos.armed then
-    match Chaos.decide p with
-    | Chaos.Proceed -> ()
-    | Chaos.Stall n -> Chaos.stall n
-    | Chaos.Abort ->
+(* A decision site inside commit: [Abort] backs out held locks like any
+   conflict; [Crash] deliberately does not — a crashed lock holder is
+   the experiment. *)
+let decision w held site tvar =
+  let m = Atomic.get Obs.armed in
+  if m land Obs.decisions <> 0 then
+    match Obs.decide m site tvar with
+    | Obs.Proceed | Obs.Stall _ -> ()
+    | Obs.Abort ->
         release_newest_first w held;
         raise Conflict
-    | Chaos.Crash -> raise Chaos.Crashed
+    | Obs.Crash -> raise Obs.Crashed
 
 (* Lock in canonical (id) order from entry [k]; back out on failure. *)
 let rec lock_from w k =
   if k < Wlog.length w then begin
-    chaos w k Chaos.Lock_acquire;
     let h = Wlog.handle w k in
+    decision w k Obs.Lock_acquire h.h_id;
     let v = Atomic.get h.h_vlock in
+    let m = Atomic.get Obs.armed in
     if (not (locked v)) && Atomic.compare_and_set h.h_vlock v (v lor 1) then begin
-      if Atomic.get Trace.tracing then
-        Trace.emit Tev.Lock "acquire" Tev.Instant
-          [ ("tvar", Tev.Int h.h_id); ("order", Tev.Int k) ];
-      (* Stamp ownership only when blame is armed: the word then names
-         the last lock holder / committed writer of the t-variable,
-         which is who its next victim blames. *)
-      if Atomic.get Blame.armed then Atomic.set h.h_owner (Blame.self ());
+      if m land Obs.locks <> 0 then Obs.emit m Obs.Locked h.h_id k;
+      (* Stamp ownership only for an attributing observer: the word
+         then names the last lock holder / committed writer of the
+         t-variable, which is who its next victim blames. *)
+      if m land Obs.stamping <> 0 then Atomic.set h.h_owner (Obs.self ());
       lock_from w (k + 1)
     end
     else begin
-      if Atomic.get Trace.tracing then
-        Trace.emit Tev.Lock "busy" Tev.Instant [ ("tvar", Tev.Int h.h_id) ];
-      if Atomic.get Blame.armed then
-        Blame.emit ~aggressor:(Atomic.get h.h_owner) ~tvar:h.h_id
-          Blame.Lock_busy;
+      if m <> 0 then Obs.emit m Obs.Lock_busy h.h_id (Atomic.get h.h_owner);
       release_newest_first w k;
       raise Conflict
     end
@@ -171,57 +165,34 @@ let commit t =
   if n = 0 then finish t
     (* read-only: reads were validated against rv as they happened *)
   else begin
-    let tel = Atomic.get Tel.armed in
-    let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
-    let t0 = if tel then tp.Tel.now () else 0 in
+    let m = Atomic.get Obs.armed in
+    let t0 = if m land Obs.phases <> 0 then Obs.now m else 0 in
     lock_from w 0;
-    let t1 =
-      if tel then begin
-        let t = tp.Tel.now () in
-        tp.Tel.observe Tel.Lock (t - t0);
-        t
-      end
-      else 0
-    in
+    let t1 = if m land Obs.phases <> 0 then Obs.lap m Obs.Lock_time t0 else 0 in
     let wv = Atomic.fetch_and_add clock 1 + 1 in
-    chaos w n Chaos.Validate;
+    decision w n Obs.Validate (-1);
     let bad = newest_invalid t (t.r_n - 1) in
     if bad >= 0 then begin
       let h = t.r_hs.(bad) in
-      if Atomic.get Trace.tracing then
-        Trace.emit Tev.Validation "read-invalid" Tev.Instant
-          [ ("tvar", Tev.Int h.h_id) ];
-      if Atomic.get Blame.armed then
-        Blame.emit ~aggressor:(Atomic.get h.h_owner) ~tvar:h.h_id
-          Blame.Validation;
+      if m <> 0 then Obs.emit m Obs.Validation h.h_id (Atomic.get h.h_owner);
       release_in_order w n;
       raise Conflict
     end;
-    let t2 =
-      if tel then begin
-        let t = tp.Tel.now () in
-        tp.Tel.observe Tel.Validate (t - t1);
-        t
-      end
-      else 0
-    in
-    chaos w n Chaos.Pre_commit;
+    let t2 = if m land Obs.phases <> 0 then Obs.lap m Obs.Validate_time t1 else 0 in
+    decision w n Obs.Pre_commit (-1);
     (* Publishing a t-variable also releases its lock (the vlock is set
-       to the new even version), hence the paired release event.  Both
-       events are emitted while the lock is still really held so that a
-       competing domain's acquire event can only sequence after them. *)
+       to the new even version).  The event is emitted while the lock
+       is still really held, so that a competing domain's [Locked] can
+       only sequence after it. *)
     for i = 0 to n - 1 do
       let h = Wlog.handle w i in
-      if Atomic.get Trace.tracing then begin
-        Trace.emit Tev.Txn "publish" Tev.Instant [ ("tvar", Tev.Int h.h_id) ];
-        Trace.emit Tev.Lock "release" Tev.Instant [ ("tvar", Tev.Int h.h_id) ]
-      end;
+      if m land Obs.locks <> 0 then Obs.emit m Obs.Published h.h_id 0;
       h.h_set (Wlog.value w i);
       Atomic.set h.h_vlock (wv lsl 1)
     done;
-    if tel then tp.Tel.observe Tel.Publish (tp.Tel.now () - t2);
+    if m land Obs.phases <> 0 then ignore (Obs.lap m Obs.Publish_time t2);
     finish t;
-    if Atomic.get Chaos.armed then Chaos.fire Chaos.Post_commit
+    if m land Obs.decisions <> 0 then Obs.fire m Obs.Post_commit (-1)
   end
 
 (* TL2 holds commit vlocks only inside [commit], and [commit] releases

@@ -6,8 +6,8 @@
    both identity axes is the unknown slot (-1), so no event is ever
    dropped.  Every cell has a unique writer domain (a [Stolen] edge is
    written by the aggressor, every other cause by the victim, and one
-   slot is one domain), so the counters are registered with
-   [~shards:1] and the emit path is a single unsharded increment.
+   slot is one domain), so the emit path is one increment of the
+   writer's own counter cell.
 
    The watermark clock is the graph's own event clock — one tick per
    blame event or commit — which is the only cross-domain clock the
@@ -50,7 +50,7 @@ let create reg ~domains =
     Array.init (domains + 1) (fun vi ->
         Array.init (domains + 1) (fun ai ->
             Array.init ncauses (fun ci ->
-                Registry.counter reg ~shards:1
+                Registry.counter reg
                   ~labels:
                     [
                       ("victim", slot_label (vi - 1));
@@ -62,7 +62,7 @@ let create reg ~domains =
   in
   let commits =
     Array.init domains (fun d ->
-        Registry.counter reg ~shards:1
+        Registry.counter reg
           ~labels:[ ("domain", string_of_int d) ]
           ~help:"Commits per plan slot (the blame progress watermark feed)"
           "tm_blame_commits_total")

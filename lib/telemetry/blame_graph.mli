@@ -6,8 +6,8 @@
     [tm_blame_events_total{victim,aggressor,cause}] — where either
     identity may be ["unknown"] (an unslotted domain); each cell has a
     unique writer domain ([Stolen] is written by the aggressor,
-    everything else by the victim), so cells are unsharded and the emit
-    path is one increment plus one clock tick.
+    everything else by the victim), and the emit path is one increment
+    plus one clock tick.
 
     The watermark clock is the graph's own event clock: one tick per
     blame event or commit.  A slot's {!wait_age} — clock distance from

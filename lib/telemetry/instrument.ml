@@ -1,48 +1,53 @@
 (* Contention-free instruments.
 
-   Counters and histograms are sharded: a writer picks a shard from its
-   domain id and RMWs only that shard's atomics, so concurrent domains
-   do not fight over one location; a scrape sums the shards.  OCaml 5
-   has no atomic arrays, so a shard is a boxed [Atomic.t]; to keep two
-   shards off one cache line the cell array is over-allocated and only
-   every [stride]-th element is used.  The filler atomics are live and
-   allocated consecutively with the used ones, and the OCaml 5 major
-   heap does not move blocks, so used cells stay [stride] blocks
-   (>= one cache line) apart for the life of the instrument. *)
+   Counters and histograms keep one cell per writing domain: a write is
+   a plain read-modify-write of the writer's own cell — no atomic RMW,
+   no cache line shared with another writer — and a read sums the
+   cells.  A domain takes a writer slot (a small integer) on its first
+   write and hands it back when it exits, so at most [max_writers] (the
+   runtime's domain limit) slots are ever in use; a slot's cell
+   outlives its domain and the slot's next owner keeps adding to it,
+   the slot mutex ordering the old owner's last writes before the new
+   owner's first.  Reads race with writes by design: they see each
+   cell's latest value or an earlier one, never a torn one (immediate
+   ints), and are exact once the writers are joined. *)
 
-let default_shards = 8
-let stride = 8
+let max_writers = 128
+let slots_mu = Mutex.create ()
+let free_slots = ref (List.init max_writers Fun.id)
 
-let next_pow2 n =
-  let rec go k = if k >= n then k else go (k * 2) in
-  go 1
+let slot_key =
+  Domain.DLS.new_key (fun () ->
+      let s =
+        Mutex.protect slots_mu (fun () ->
+            match !free_slots with
+            | s :: rest ->
+                free_slots := rest;
+                s
+            | [] -> failwith "Instrument: more live domains than writer slots")
+      in
+      Domain.at_exit (fun () ->
+          Mutex.protect slots_mu (fun () -> free_slots := s :: !free_slots));
+      s)
 
 (* ---- counters ---- *)
 
-type counter = { c_cells : int Atomic.t array; c_mask : int }
+type ccell = { mutable n : int }
 
-let counter ?(shards = default_shards) () =
-  let shards = next_pow2 (max 1 shards) in
-  {
-    c_cells = Array.init (shards * stride) (fun _ -> Atomic.make 0);
-    c_mask = shards - 1;
-  }
+(* Marks a slot whose domain never wrote; never written itself. *)
+let no_ccell = { n = 0 }
 
-let add c n =
-  let s = ((Domain.self () :> int) land c.c_mask) * stride in
-  ignore (Atomic.fetch_and_add c.c_cells.(s) n)
+type counter = ccell array
+
+let counter () = Array.make max_writers no_ccell
+
+let add c k =
+  let s = Domain.DLS.get slot_key in
+  let cell = Array.unsafe_get c s in
+  if cell != no_ccell then cell.n <- cell.n + k else c.(s) <- { n = k }
 
 let incr c = add c 1
-
-let value c =
-  let acc = ref 0 in
-  let i = ref 0 in
-  let n = Array.length c.c_cells in
-  while !i < n do
-    acc := !acc + Atomic.get c.c_cells.(!i);
-    i := !i + stride
-  done;
-  !acc
+let value c = Array.fold_left (fun acc cell -> acc + cell.n) 0 c
 
 (* ---- gauges ---- *)
 
@@ -51,6 +56,18 @@ type gauge = int Atomic.t
 let gauge ?(init = 0) () = Atomic.make init
 let set_gauge g v = Atomic.set g v
 let gauge_value g = Atomic.get g
+
+(* floor (log2 v) for v > 0 (0 for v <= 0), by halving the search
+   range: six tests whatever the magnitude. *)
+let log2_floor v =
+  let v = ref v and m = ref 0 in
+  if !v lsr 32 <> 0 then begin v := !v lsr 32; m := 32 end;
+  if !v lsr 16 <> 0 then begin v := !v lsr 16; m := !m + 16 end;
+  if !v lsr 8 <> 0 then begin v := !v lsr 8; m := !m + 8 end;
+  if !v lsr 4 <> 0 then begin v := !v lsr 4; m := !m + 4 end;
+  if !v lsr 2 <> 0 then begin v := !v lsr 2; m := !m + 2 end;
+  if !v lsr 1 <> 0 then m := !m + 1;
+  !m
 
 (* ---- histograms ----
 
@@ -61,57 +78,52 @@ let gauge_value g = Atomic.get g
 
 let hist_buckets = 32
 
+(* Integer comparisons throughout the write path: [Stdlib.min]/[max]
+   are polymorphic and cost a C call each. *)
 let bucket_of v =
   if v <= 0 then 0
   else
-    let rec go k =
-      if k >= hist_buckets - 1 || v < 1 lsl k then k else go (k + 1)
-    in
-    go 1
+    let k = log2_floor v + 1 in
+    if k < hist_buckets then k else hist_buckets - 1
 
 let bucket_upper k =
   if k <= 0 then 0
   else if k >= hist_buckets - 1 then max_int
   else (1 lsl k) - 1
 
-type hshard = {
-  hb : int Atomic.t array;
-  hc : int Atomic.t;
-  hs : int Atomic.t;
-  hm : int Atomic.t;
-}
+(* A histogram cell: [cb] holds the buckets (its sample count is their
+   sum), [cs] the sum, [cm] the maximum.  Log2 and hires histograms
+   differ only in their bucket count and rule. *)
+type hcell = { cb : int array; mutable cs : int; mutable cm : int }
 
-type histogram = { h_shards : hshard array; h_mask : int }
+let no_hcell = { cb = [||]; cs = 0; cm = 0 }
 
-let histogram ?(shards = default_shards) () =
-  let shards = next_pow2 (max 1 shards) in
-  {
-    h_shards =
-      Array.init shards (fun _ ->
-          {
-            hb = Array.init hist_buckets (fun _ -> Atomic.make 0);
-            hc = Atomic.make 0;
-            hs = Atomic.make 0;
-            hm = Atomic.make 0;
-          });
-    h_mask = shards - 1;
-  }
+type histogram = hcell array
 
-let rec bump_max a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then bump_max a v
+let histogram () = Array.make max_writers no_hcell
 
-let observe h v =
-  let s = h.h_shards.((Domain.self () :> int) land h.h_mask) in
-  ignore (Atomic.fetch_and_add s.hb.(bucket_of v) 1);
-  ignore (Atomic.fetch_and_add s.hc 1);
-  ignore (Atomic.fetch_and_add s.hs (max 0 v));
-  bump_max s.hm v
+(* The calling domain's cell, created on its first write. *)
+let hcell h nb =
+  let s = Domain.DLS.get slot_key in
+  let c = Array.unsafe_get h s in
+  if c != no_hcell then c
+  else begin
+    let c = { cb = Array.make nb 0; cs = 0; cm = 0 } in
+    h.(s) <- c;
+    c
+  end
+
+let record h nb k v =
+  let c = hcell h nb in
+  Array.unsafe_set c.cb k (Array.unsafe_get c.cb k + 1);
+  if v > 0 then c.cs <- c.cs + v;
+  if v > c.cm then c.cm <- v
+
+let observe h v = record h hist_buckets (bucket_of v) v
 
 let absorb h ~buckets ~sum ~max_sample =
-  let s = h.h_shards.((Domain.self () :> int) land h.h_mask) in
+  let c = hcell h hist_buckets in
   let n = Array.length buckets in
-  let total = ref 0 in
   for k = 0 to n - 1 do
     if buckets.(k) > 0 then begin
       (* Source bucket [k] has the same [2^(k-1), 2^k) range as ours —
@@ -124,13 +136,11 @@ let absorb h ~buckets ~sum ~max_sample =
         else if k < hist_buckets then k
         else hist_buckets - 1
       in
-      ignore (Atomic.fetch_and_add s.hb.(kb) buckets.(k));
-      total := !total + buckets.(k)
+      c.cb.(kb) <- c.cb.(kb) + buckets.(k)
     end
   done;
-  ignore (Atomic.fetch_and_add s.hc !total);
-  ignore (Atomic.fetch_and_add s.hs (max 0 sum));
-  bump_max s.hm max_sample
+  if sum > 0 then c.cs <- c.cs + sum;
+  if max_sample > c.cm then c.cm <- max_sample
 
 type hsnap = {
   buckets : int array;
@@ -139,19 +149,24 @@ type hsnap = {
   max_sample : int;
 }
 
-let hist_snapshot h =
-  let buckets = Array.make hist_buckets 0 in
+let snapshot h nb =
+  let buckets = Array.make nb 0 in
   let count = ref 0 and sum = ref 0 and max_sample = ref 0 in
   Array.iter
-    (fun s ->
-      for k = 0 to hist_buckets - 1 do
-        buckets.(k) <- buckets.(k) + Atomic.get s.hb.(k)
-      done;
-      count := !count + Atomic.get s.hc;
-      sum := !sum + Atomic.get s.hs;
-      max_sample := max !max_sample (Atomic.get s.hm))
-    h.h_shards;
+    (fun c ->
+      if c != no_hcell then begin
+        for k = 0 to nb - 1 do
+          let n = c.cb.(k) in
+          buckets.(k) <- buckets.(k) + n;
+          count := !count + n
+        done;
+        sum := !sum + c.cs;
+        max_sample := max !max_sample c.cm
+      end)
+    h;
   { buckets; count = !count; sum = !sum; max_sample = !max_sample }
+
+let hist_snapshot h = snapshot h hist_buckets
 
 let quantile snap q =
   if snap.count = 0 then 0
@@ -199,10 +214,6 @@ let hires_log_max = 40
 let hires_buckets =
   hires_sub + ((hires_log_max - hires_sub_bits) * hires_sub) + 1
 
-let log2_floor v =
-  let rec go m = if v lsr (m + 1) = 0 then m else go (m + 1) in
-  go 0
-
 let hires_bucket_of v =
   if v <= 0 then 0
   else if v < hires_sub then v
@@ -220,42 +231,11 @@ let hires_bucket_upper k =
     let s = k - (hires_sub * (m - hires_sub_bits)) in
     ((s + 1) lsl (m - hires_sub_bits)) - 1
 
-type hires = { r_shards : hshard array; r_mask : int }
+type hires = histogram
 
-let hires ?(shards = default_shards) () =
-  let shards = next_pow2 (max 1 shards) in
-  {
-    r_shards =
-      Array.init shards (fun _ ->
-          {
-            hb = Array.init hires_buckets (fun _ -> Atomic.make 0);
-            hc = Atomic.make 0;
-            hs = Atomic.make 0;
-            hm = Atomic.make 0;
-          });
-    r_mask = shards - 1;
-  }
-
-let hires_observe h v =
-  let s = h.r_shards.((Domain.self () :> int) land h.r_mask) in
-  ignore (Atomic.fetch_and_add s.hb.(hires_bucket_of v) 1);
-  ignore (Atomic.fetch_and_add s.hc 1);
-  ignore (Atomic.fetch_and_add s.hs (max 0 v));
-  bump_max s.hm v
-
-let hires_snapshot h =
-  let buckets = Array.make hires_buckets 0 in
-  let count = ref 0 and sum = ref 0 and max_sample = ref 0 in
-  Array.iter
-    (fun s ->
-      for k = 0 to hires_buckets - 1 do
-        buckets.(k) <- buckets.(k) + Atomic.get s.hb.(k)
-      done;
-      count := !count + Atomic.get s.hc;
-      sum := !sum + Atomic.get s.hs;
-      max_sample := max !max_sample (Atomic.get s.hm))
-    h.r_shards;
-  { buckets; count = !count; sum = !sum; max_sample = !max_sample }
+let hires = histogram
+let hires_observe h v = record h hires_buckets (hires_bucket_of v) v
+let hires_snapshot h = snapshot h hires_buckets
 
 let hires_quantile snap q =
   if snap.count = 0 then 0

@@ -1,32 +1,29 @@
 (** Cheap, contention-free instruments.
 
-    The write paths are wait-free per shard and allocate nothing:
-    counters and histograms are sharded over domains (each writer RMWs
-    the atomics of the shard picked from its domain id), so concurrent
-    domains do not serialize on one cache line; reading an instrument
-    sums its shards.  Shard atomics are kept at least a cache line apart
-    by stride-allocating the cell array (the OCaml 5 major heap does not
-    move blocks, so the spacing is stable).
+    Counters and histograms keep one cell per writing domain: a
+    write is a plain update of the writer's own cell (no atomic RMW, no
+    cache line shared with another writer) and allocates nothing after
+    the domain's first write; reading an instrument sums the cells.
+    Reads race with writes: they may miss the latest updates of a
+    running writer, never tear, and are exact once the writers are
+    joined. *)
 
-    A single-writer instrument (e.g. a per-domain counter the owning
-    domain alone increments) should use [~shards:1]: one cell, and
-    reading it is one atomic load. *)
-
-val default_shards : int
-(** 8. Shard counts are rounded up to a power of two. *)
+val max_writers : int
+(** 128, the runtime's limit on live domains: every live domain holds
+    one writer slot. *)
 
 (** {2 Counters} *)
 
 type counter
-(** A monotone sharded counter. *)
+(** A monotone counter. *)
 
-val counter : ?shards:int -> unit -> counter
+val counter : unit -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 
 val value : counter -> int
-(** Sum over shards.  Not a linearizable snapshot of concurrent
-    increments, but never under-reads a quiesced counter and is always
+(** Sum over the writers' cells.  Not a linearizable snapshot of
+    concurrent increments, but exact for a quiesced counter and always
     monotone for monotone updates. *)
 
 (** {2 Gauges} *)
@@ -56,7 +53,7 @@ val bucket_upper : int -> int
 
 type histogram
 
-val histogram : ?shards:int -> unit -> histogram
+val histogram : unit -> histogram
 val observe : histogram -> int -> unit
 
 val absorb :
@@ -74,7 +71,7 @@ type hsnap = {
   sum : int;
   max_sample : int;
 }
-(** A point-in-time summation of a histogram's shards. *)
+(** A point-in-time summation of a histogram's cells. *)
 
 val hist_snapshot : histogram -> hsnap
 
@@ -98,8 +95,8 @@ val pp_hsnap : Format.formatter -> hsnap -> unit
     every log2 decade into {!hires_sub} linear sub-buckets (relative
     error at most [1/hires_sub] = 12.5%): values below {!hires_sub}
     are exact, values at or above [2^hires_log_max] (~18 minutes in
-    nanoseconds) overflow.  Same wait-free sharded write path as the
-    log2 histograms. *)
+    nanoseconds) overflow.  Same per-writer cells as the log2
+    histograms. *)
 
 val hires_sub : int
 (** 8 linear sub-buckets per log2 decade. *)
@@ -119,7 +116,7 @@ val hires_bucket_upper : int -> int
 
 type hires
 
-val hires : ?shards:int -> unit -> hires
+val hires : unit -> hires
 val hires_observe : hires -> int -> unit
 
 val hires_snapshot : hires -> hsnap

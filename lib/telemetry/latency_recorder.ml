@@ -44,11 +44,10 @@ let create ?registry ?(metric = "tm_latency") ?(interval_ns = 1_000_000)
   if domains < 1 then invalid_arg "Latency_recorder.create: domains < 1";
   if interval_ns < 1 then
     invalid_arg "Latency_recorder.create: interval_ns < 1";
-  let shards = domains in
   let hires name help =
     match registry with
-    | Some reg -> Registry.hires reg ~shards ~help (metric ^ name)
-    | None -> Instrument.hires ~shards ()
+    | Some reg -> Registry.hires reg ~help (metric ^ name)
+    | None -> Instrument.hires ()
   in
   let queueing =
     hires "_queueing_ns" "Scheduled arrival to dispatch (open-loop)"

@@ -47,8 +47,8 @@ let register t ~name ~help ~labels inst =
   in
   Mutex.protect t.mu (fun () -> t.rev_metrics <- m :: t.rev_metrics)
 
-let counter t ?shards ?(labels = []) ~help name =
-  let c = Instrument.counter ?shards () in
+let counter t ?(labels = []) ~help name =
+  let c = Instrument.counter () in
   register t ~name ~help ~labels (I_counter c);
   c
 
@@ -57,13 +57,13 @@ let gauge t ?(labels = []) ?init ~help name =
   register t ~name ~help ~labels (I_gauge g);
   g
 
-let histogram t ?shards ?(labels = []) ~help name =
-  let h = Instrument.histogram ?shards () in
+let histogram t ?(labels = []) ~help name =
+  let h = Instrument.histogram () in
   register t ~name ~help ~labels (I_histogram h);
   h
 
-let hires t ?shards ?(labels = []) ~help name =
-  let h = Instrument.hires ?shards () in
+let hires t ?(labels = []) ~help name =
+  let h = Instrument.hires () in
   register t ~name ~help ~labels (I_hires h);
   h
 

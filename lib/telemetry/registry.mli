@@ -16,7 +16,6 @@ val create : unit -> t
 
 val counter :
   t ->
-  ?shards:int ->
   ?labels:(string * string) list ->
   help:string ->
   string ->
@@ -32,7 +31,6 @@ val gauge :
 
 val histogram :
   t ->
-  ?shards:int ->
   ?labels:(string * string) list ->
   help:string ->
   string ->
@@ -40,7 +38,6 @@ val histogram :
 
 val hires :
   t ->
-  ?shards:int ->
   ?labels:(string * string) list ->
   help:string ->
   string ->

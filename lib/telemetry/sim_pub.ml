@@ -4,8 +4,7 @@
    index as timestamp; counters are updated per event and the sampler
    ticks every [period] events, so the resulting JSONL time series is a
    pure function of the history — byte-identical across equal runs.
-   Everything is single-domain (the simulator is sequential), hence
-   [~shards:1] instruments. *)
+   Everything is single-domain (the simulator is sequential). *)
 
 module Ev = Tm_history.Event
 
@@ -28,14 +27,14 @@ let create ?(period = 200) ?(consumers = []) ~nprocs reg =
      series). *)
   let per name help =
     Array.init (nprocs + 1) (fun p ->
-        if p = 0 then Instrument.counter ~shards:1 ()
+        if p = 0 then Instrument.counter ()
         else
-          Registry.counter reg ~shards:1
+          Registry.counter reg
             ~labels:[ ("proc", string_of_int p) ]
             ~help name)
   in
   let events =
-    Registry.counter reg ~shards:1 ~help:"History events recorded"
+    Registry.counter reg ~help:"History events recorded"
       "tm_sim_events_total"
   in
   let p_events =

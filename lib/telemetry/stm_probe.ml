@@ -1,5 +1,5 @@
-(* The bridge from [Stm.Tel] to the registry: event counters for the
-   begin/read/commit/abort seams and nanosecond phase-latency
+(* The bridge from the [Stm.Obs] seam to the registry: event counters
+   for the begin/read/commit/abort sites and nanosecond phase-latency
    histograms for the commit protocol.  The clock is bechamel's
    monotonic_clock stubs (CLOCK_MONOTONIC in nanoseconds) — tm_stm
    itself stays clock-agnostic; the unit enters here. *)
@@ -26,7 +26,10 @@ let register reg =
   {
     begins =
       c "tm_stm_begins_total" "Transaction attempts started (one per retry)";
-    reads = c "tm_stm_reads_total" "Validated transactional reads";
+    reads =
+      c "tm_stm_reads_total"
+        "Transactional reads other than read-own-writes, counted before \
+         validation (a read that then conflicts is counted)";
     commits = c "tm_stm_commits_total" "Transaction attempts that committed";
     aborts = c "tm_stm_aborts_total" "Transaction attempts that aborted";
     lock_ns =
@@ -43,35 +46,33 @@ let register reg =
     abort_ns = h "tm_stm_abort_ns" "Whole-attempt latency of aborted attempts";
   }
 
-let probe_of ?(clock = ns_clock) t =
-  {
-    Stm.Tel.now = clock;
-    count =
-      (fun ph ->
-        match ph with
-        | Stm.Tel.Begin -> Instrument.incr t.begins
-        | Stm.Tel.Read -> Instrument.incr t.reads
-        | Stm.Tel.Lock | Stm.Tel.Validate | Stm.Tel.Publish | Stm.Tel.Commit
-        | Stm.Tel.Abort ->
-            ());
-    observe =
-      (fun ph d ->
-        match ph with
-        | Stm.Tel.Lock -> Instrument.observe t.lock_ns d
-        | Stm.Tel.Validate -> Instrument.observe t.validate_ns d
-        | Stm.Tel.Publish -> Instrument.observe t.publish_ns d
-        | Stm.Tel.Commit ->
-            Instrument.incr t.commits;
-            Instrument.observe t.commit_ns d
-        | Stm.Tel.Abort ->
-            Instrument.incr t.aborts;
-            Instrument.observe t.abort_ns d
-        | Stm.Tel.Begin | Stm.Tel.Read -> ());
-  }
+let observer t =
+ fun site _tvar d ->
+  match site with
+  | Stm.Obs.Begin -> Instrument.incr t.begins
+  | Stm.Obs.Read -> Instrument.incr t.reads
+  | Stm.Obs.Lock_time -> Instrument.observe t.lock_ns d
+  | Stm.Obs.Validate_time -> Instrument.observe t.validate_ns d
+  | Stm.Obs.Publish_time -> Instrument.observe t.publish_ns d
+  | Stm.Obs.Commit ->
+      Instrument.incr t.commits;
+      Instrument.observe t.commit_ns d
+  | Stm.Obs.Abort | Stm.Obs.Retry ->
+      Instrument.incr t.aborts;
+      Instrument.observe t.abort_ns d
+  | _ -> ()
 
-let install ?clock reg =
+let current : Stm.Obs.subscription option Atomic.t = Atomic.make None
+
+let install ?(clock = ns_clock) reg =
   let t = register reg in
-  Stm.Tel.install (probe_of ?clock t);
+  let s =
+    Stm.Obs.subscribe ~clock
+      ~sites:
+        Stm.Obs.[ Begin; Read; Lock_time; Validate_time; Publish_time; Commit; Abort; Retry ]
+      (observer t)
+  in
+  Option.iter Stm.Obs.unsubscribe (Atomic.exchange current (Some s));
   t
 
-let uninstall = Stm.Tel.uninstall
+let uninstall () = Option.iter Stm.Obs.unsubscribe (Atomic.exchange current None)

@@ -26,8 +26,8 @@ type t = {
 }
 
 let create ?(consumers = []) reg =
-  let c name help = Registry.counter reg ~shards:1 ~help name in
-  let h name help = Registry.histogram reg ~shards:1 ~help name in
+  let c name help = Registry.counter reg ~help name in
+  let h name help = Registry.histogram reg ~help name in
   {
     sampler = Sampler.create ~consumers ~clock:(fun () -> 0) reg;
     runs = c "tm_sweep_runs_total" "Sweep runs published";

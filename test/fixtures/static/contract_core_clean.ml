@@ -1,10 +1,13 @@
-(* Fixture: a core whose emission sites match the facade announcement
-   for Mini exactly (Tel Begin/Commit/Abort come from the facade). *)
+(* Fixture: a core whose reachable sites match the facade announcement
+   for Mini exactly (Begin/Commit/Abort come from the facade, Published
+   from the substrate's write_back). *)
 
 let read tv =
-  if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
-  if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
+  let m = Atomic.get Obs.armed in
+  if m <> 0 then Obs.fire m Obs.Read tv 0;
   Atomic.get tv
 
-let commit ~aggressor ~tvar =
-  if Atomic.get Blame.armed then Blame.emit ~aggressor ~tvar Blame.Validation
+let commit ~aggressor ~tvar w =
+  let m = Atomic.get Obs.armed in
+  if m <> 0 then Obs.emit m Obs.Validation tvar aggressor;
+  write_back w

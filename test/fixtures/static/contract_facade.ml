@@ -1,23 +1,17 @@
 (* Fixture: a miniature Stm facade with one announced algorithm and a
-   retry loop emitting the facade-universal Tel phases. *)
+   retry loop emitting the facade's lifecycle sites. *)
 
 module Algo = struct
   type t = Mini
 
-  let tel_phases = function
-    | Mini -> [ Tel.Begin; Tel.Read; Tel.Commit; Tel.Abort ]
-
-  let chaos_points = function Mini -> [ Chaos.Read ]
-  let blame_causes = function Mini -> [ Blame.Validation ]
+  let sites = function
+    | Mini -> [ Obs.Begin; Obs.Read; Obs.Validation; Obs.Published; Obs.Commit; Obs.Abort ]
 end
 
 let core_of = function Algo.Mini -> (module Stm_mini)
 
 let atomically f =
-  let tel = Atomic.get Tel.armed in
-  let tp = if tel then Atomic.get Tel.probe else null_probe in
-  if tel then tp.Tel.count Tel.Begin;
-  let finish committed =
-    if tel then tp.Tel.count (if committed then Tel.Commit else Tel.Abort)
-  in
-  finish (f ())
+  let m = Atomic.get Obs.armed in
+  if m <> 0 then Obs.emit m Obs.Begin (-1) 0;
+  let committed = f () in
+  if m <> 0 then Obs.emit m (if committed then Obs.Commit else Obs.Abort) (-1) 0

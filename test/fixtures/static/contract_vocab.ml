@@ -1,20 +1,12 @@
-(* Fixture: a miniature stm_core declaring the three seam
-   vocabularies seam-contract reads its constructor sets from. *)
+(* Fixture: a miniature stm_core declaring the site vocabulary
+   seam-contract reads, and one substrate helper emitting a site. *)
 
-module Chaos = struct
-  type point = Read | Validate | Lock_acquire | Pre_commit | Post_commit
+module Obs = struct
+  type site = Begin | Read | Lock_acquire | Validate | Validation | Published | Commit | Abort
 
-  let armed = Atomic.make false
+  let armed = Atomic.make 0
 end
 
-module Tel = struct
-  type phase = Begin | Read | Lock | Validate | Publish | Commit | Abort
-
-  let armed = Atomic.make false
-end
-
-module Blame = struct
-  type cause = Read_conflict | Lock_busy | Validation | Stolen | Wait_budget
-
-  let armed = Atomic.make false
-end
+let write_back w =
+  let m = Atomic.get Obs.armed in
+  if m <> 0 then Obs.emit m Obs.Published w 0

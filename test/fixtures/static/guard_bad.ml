@@ -1,15 +1,14 @@
-(* Fixture: unguarded seam emissions, one per emission family, plus
-   one suppressed by the allow escape. *)
+(* Fixture: seam dispatches outside the armed-word check, one per
+   idiom, plus one suppressed by the allow escape. *)
 
-let bad_chaos p = Chaos.fire p
+let bad_fire m = Obs.fire m Obs.Read (-1) 0
 
-let bad_tel tp = tp.Tel.count Tel.Read
+let bad_emit m = Obs.emit m Obs.Commit (-1) 0
 
-let bad_blame ~aggressor ~tvar =
-  Blame.emit ~aggressor ~tvar Blame.Read_conflict
+let bad_clock m = Obs.now m
 
-let bad_trace () = Trace.emit cat name phase []
+let wrong_word flag m = if flag <> 0 then Obs.decide m Obs.Pre_commit else Obs.Proceed
 
-let suppressed p =
+let suppressed m =
   (* tmstatic: allow seam-guard *)
-  Chaos.fire p
+  Obs.fire m Obs.Read (-1) 0

@@ -1,21 +1,24 @@
-(* Fixture: every seam emission idiom the repo uses, each dominated by
-   its disarmed check — direct guard, let-bound guard, conjunction,
-   guard flowing into a closure, and a Tel probe-field application. *)
+(* Fixture: every dispatch idiom the repo uses, each dominated by the
+   armed-word check — let-bound word, direct load, bit test,
+   conjunction, and the check flowing into a closure. *)
 
-let direct p =
-  if Atomic.get Chaos.armed then Chaos.fire p;
-  if Atomic.get Trace.tracing then Trace.emit cat name phase []
+let let_bound tv =
+  let m = Atomic.get Obs.armed in
+  if m <> 0 then Obs.fire m Obs.Read tv 0;
+  let t0 = if m <> 0 then Obs.now m else 0 in
+  if m <> 0 then ignore (Obs.lap m Obs.Lock_time t0)
 
-let let_bound () =
-  let tel = Atomic.get Tel.armed in
-  let tp = if tel then Atomic.get Tel.probe else null_probe in
-  if tel then tp.Tel.count Tel.Read;
-  if tel then tp.Tel.observe Tel.Lock (tp.Tel.now ())
+let direct () =
+  if Atomic.get Obs.armed <> 0 then Obs.emit (Atomic.get Obs.armed) Obs.Commit (-1) 0
+
+let bit_test owner =
+  let m = Atomic.get Obs.armed in
+  if m land Obs.stamping <> 0 then Obs.emit m Obs.Stolen 0 owner
 
 let conjunction stolen =
-  if stolen && Atomic.get Blame.armed then
-    Blame.emit_event ~victim:0 ~aggressor:1 ~tvar:2 Blame.Stolen
+  let m = Atomic.get Obs.armed in
+  if stolen && m <> 0 then Obs.emit m Obs.Stolen 0 1
 
 let closure entries =
-  let tr = Atomic.get Trace.tracing in
-  if tr then List.iter (fun e -> Trace.emit e.cat e.name e.phase []) entries
+  let m = Atomic.get Obs.armed in
+  if m <> 0 then List.iter (fun e -> Obs.emit m Obs.Published e 0) entries

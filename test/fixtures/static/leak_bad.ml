@@ -1,17 +1,16 @@
-(* Fixture: seams armed with no paired disarm in the same top-level
-   definition.  recover() does not stop tracing, so the Trace leak
-   stands even with a recover call. *)
+(* Fixture: seam subscriptions with no paired release in the same
+   top-level definition; the allow-commented one is suppressed. *)
 
 let chaos_leak () =
   Stm.Chaos.install (fun _ -> Stm.Chaos.Proceed);
   run_workload ()
 
-let trace_leak_despite_recover () =
-  Stm.Trace.start ();
-  run_workload ();
-  Stm.recover ()
+let observer_leak_despite_other_release () =
+  let s = Stm.Obs.subscribe (fun _ _ _ -> ()) in
+  run_workload s;
+  Stm.Trace.stop ()
 
-let suppressed_leak probe =
+let suppressed_leak reg =
   (* tmstatic: allow armed-leak *)
-  Stm.Tel.install probe;
+  ignore (Tm_telemetry.Stm_probe.install reg);
   run_workload ()

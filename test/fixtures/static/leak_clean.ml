@@ -1,14 +1,15 @@
-(* Fixture: every arm/disarm pairing the leak rule accepts — direct
-   uninstall, ~finally-bound uninstall, Stm.recover, and Trace.stop. *)
+(* Fixture: every subscribe/release pairing the leak rule accepts —
+   direct uninstall, ~finally-bound release, Stm.recover, Trace.stop
+   and Obs.unsubscribe. *)
 
 let chaos_paired () =
   Stm.Chaos.install (fun _ -> Stm.Chaos.Proceed);
   run_workload ();
   Stm.Chaos.uninstall ()
 
-let tel_finally probe =
-  Stm.Tel.install probe;
-  Fun.protect ~finally:Stm.Tel.uninstall run_workload
+let probe_finally reg =
+  ignore (Tm_telemetry.Stm_probe.install reg);
+  Fun.protect ~finally:Tm_telemetry.Stm_probe.uninstall run_workload
 
 let blame_recover sink =
   Stm.Blame.install sink;
@@ -19,3 +20,8 @@ let trace_paired () =
   Stm.Trace.start ();
   run_workload ();
   Stm.Trace.stop ()
+
+let observer_paired () =
+  let s = Stm.Obs.subscribe (fun _ _ _ -> ()) in
+  run_workload ();
+  Stm.Obs.unsubscribe s

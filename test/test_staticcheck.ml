@@ -60,39 +60,40 @@ let mini_contract () =
 let test_contract_parses () =
   let vocab, contract, _ = mini_contract () in
   Alcotest.(check (list string))
-    "chaos vocabulary"
-    [ "Read"; "Validate"; "Lock_acquire"; "Pre_commit"; "Post_commit" ]
-    vocab.Seam.points;
+    "site vocabulary"
+    [
+      "Begin"; "Read"; "Lock_acquire"; "Validate"; "Validation"; "Published";
+      "Commit"; "Abort";
+    ]
+    vocab;
   Alcotest.(check (list string)) "algos" [ "Mini" ] contract.Seam.c_algos;
   Alcotest.(check (list (pair string string)))
     "core dispatch"
     [ ("Mini", "Stm_mini") ]
     contract.Seam.c_core_files;
-  match Seam.announced contract ~algo:"Mini" ~kind:Seam.Tel with
-  | None -> Alcotest.fail "no tel_phases announcement for Mini"
+  match Seam.announced contract ~algo:"Mini" with
+  | None -> Alcotest.fail "no Algo.sites announcement for Mini"
   | Some an ->
       Alcotest.(check (list string))
-        "announced phases"
-        [ "Begin"; "Read"; "Commit"; "Abort" ]
-        an.Seam.an_ctors
+        "announced sites"
+        [ "Begin"; "Read"; "Validation"; "Published"; "Commit"; "Abort" ]
+        an.Seam.an_sites
+
+let contract_check core =
+  let vocab, contract, facade_src = mini_contract () in
+  Tm_staticcheck.Rule_contract.check ~vocab ~contract
+    ~substrate:(fixture "contract_vocab.ml") ~facade_src
+    [ ("Mini", fixture core) ]
 
 let test_contract_clean () =
-  let vocab, contract, facade_src = mini_contract () in
-  let findings =
-    Tm_staticcheck.Rule_contract.check ~vocab ~contract ~facade_src
-      [ ("Mini", fixture "contract_core_clean.ml") ]
-  in
-  check_counts "clean core" ~errors:0 ~warnings:0 findings
+  check_counts "clean core" ~errors:0 ~warnings:0
+    (contract_check "contract_core_clean.ml")
 
 let test_contract_bad () =
-  let vocab, contract, facade_src = mini_contract () in
-  let findings =
-    Tm_staticcheck.Rule_contract.check ~vocab ~contract ~facade_src
-      [ ("Mini", fixture "contract_core_bad.ml") ]
-  in
-  (* One unannounced emission (Chaos.Validate) and three announced
-     constructors with no site (Tel.Read, Chaos.Read, Blame.Validation);
-     the facade's retry loop covers Begin/Commit/Abort. *)
+  let findings = contract_check "contract_core_bad.ml" in
+  (* One unannounced site (Validate) and three announced sites nothing
+     reaches (Read, Validation, and Published — the core never calls
+     write_back); the facade's retry loop covers Begin/Commit/Abort. *)
   check_counts "bad core" ~errors:4 ~warnings:0 findings;
   let unannounced =
     List.filter
@@ -100,7 +101,7 @@ let test_contract_bad () =
       findings
   in
   Alcotest.(check int) "unannounced sited in core" 1 (List.length unannounced);
-  Alcotest.(check (list int)) "at the emission line" [ 6 ]
+  Alcotest.(check (list int)) "at the emission line" [ 7 ]
     (lines_of unannounced)
 
 (* --- seam-guard --- *)
@@ -111,10 +112,11 @@ let test_guard_clean () =
 
 let test_guard_bad () =
   let findings = Tm_staticcheck.Rule_guard.check (fixture "guard_bad.ml") in
-  (* Chaos.fire, tp.Tel.count, Blame.emit, Trace.emit — the allow-
-     commented emission is suppressed. *)
+  (* Obs.fire, Obs.emit, Obs.now unguarded and Obs.decide behind a test
+     of a word that is not the armed word — the allow-commented
+     dispatch is suppressed. *)
   check_counts "guard_bad" ~errors:4 ~warnings:0 findings;
-  Alcotest.(check (list int)) "at each emission" [ 4; 6; 9; 11 ]
+  Alcotest.(check (list int)) "at each dispatch" [ 4; 6; 8; 10 ]
     (lines_of findings)
 
 (* --- txn-purity --- *)
@@ -137,10 +139,11 @@ let test_leak_clean () =
 
 let test_leak_bad () =
   let findings = Tm_staticcheck.Rule_leak.check (fixture "leak_bad.ml") in
-  (* A Chaos.install with no disarm and a Trace.start that recover()
-     does not stop; the allow-commented Tel.install is suppressed. *)
+  (* A Chaos.install with no release and an Obs.subscribe whose
+     definition releases only the trace recorder; the allow-commented
+     Stm_probe.install is suppressed. *)
   check_counts "leak_bad" ~errors:2 ~warnings:0 findings;
-  Alcotest.(check (list int)) "at each install" [ 6; 10 ] (lines_of findings)
+  Alcotest.(check (list int)) "at each subscription" [ 5; 9 ] (lines_of findings)
 
 (* --- rule selection and exit thresholds --- *)
 
@@ -219,6 +222,122 @@ let test_rule_filter () =
       Alcotest.(check int) "leak rule alone is clean" 0
         (List.length report.Sc.findings)
 
+(* --- seeded falsifications: each rule must catch its seeded defect
+   in a copy of the real sources --- *)
+
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+
+let write_file f s =
+  Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s)
+
+let rec occurrences s pat i =
+  match String.index_from_opt s i pat.[0] with
+  | None -> 0
+  | Some j ->
+      if j + String.length pat <= String.length s && String.sub s j (String.length pat) = pat
+      then 1 + occurrences s pat (j + String.length pat)
+      else occurrences s pat (j + 1)
+
+let replace_once s pat by =
+  let rec find i =
+    if String.sub s i (String.length pat) = pat then i else find (i + 1)
+  in
+  let j = find 0 in
+  String.sub s 0 j ^ by ^ String.sub s (j + String.length pat) (String.length s - j - String.length pat)
+
+(* A scratch tree holding copies of lib/stm and test/test_stm.ml. *)
+let with_copy f =
+  let root = repo_root () in
+  let dir = Filename.temp_dir "tmstatic" "" in
+  let mk rel = Sys.mkdir (Filename.concat dir rel) 0o755 in
+  List.iter mk [ "lib"; "lib/stm"; "test" ];
+  let copied =
+    List.map (fun f -> Filename.concat "lib/stm" f)
+      (List.filter
+         (fun f -> Filename.check_suffix f ".ml")
+         (Array.to_list (Sys.readdir (Filename.concat root "lib/stm"))))
+    @ [ "test/test_stm.ml" ]
+  in
+  List.iter
+    (fun rel ->
+      write_file (Filename.concat dir rel) (read_file (Filename.concat root rel)))
+    copied;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun rel -> Sys.remove (Filename.concat dir rel)) copied;
+      List.iter
+        (fun rel -> Sys.rmdir (Filename.concat dir rel))
+        [ "test"; "lib/stm"; "lib"; "" ])
+    (fun () -> f dir)
+
+let seeded ~rule ~file ~pat ~by ~subject ~message () =
+  with_copy (fun dir ->
+      let path = Filename.concat dir file in
+      let src = read_file path in
+      Alcotest.(check int) (Fmt.str "pattern matches %s once" file) 1
+        (occurrences src pat 0);
+      write_file path (replace_once src pat by);
+      match Sc.run ~rules:[ rule ] ~root:dir () with
+      | Error msg -> Alcotest.fail msg
+      | Ok report ->
+          let contains hay needle =
+            let nh = String.length hay and nn = String.length needle in
+            let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+            at 0
+          in
+          Alcotest.(check bool)
+            (Fmt.str "%s fires on %s" rule subject)
+            true
+            (List.exists
+               (fun (f : F.t) ->
+                 f.F.rule = rule && f.F.subject = subject
+                 && contains f.F.message message)
+               report.Sc.findings))
+
+let seeded_guard =
+  seeded ~rule:"seam-guard" ~file:"lib/stm/stm_dstm.ml"
+    ~pat:"if m land Obs.reads <> 0 then Obs.fire m Obs.Read tv.id;"
+    ~by:"Obs.fire m Obs.Read tv.id;" ~subject:"lib/stm/stm_dstm.ml"
+    ~message:""
+
+(* Drop Lock_busy from tl2's announcement: the core's site becomes
+   unannounced. *)
+let seeded_unannounced =
+  seeded ~rule:"seam-contract" ~file:"lib/stm/stm.ml"
+    ~pat:"Obs.Locked; Obs.Lock_busy; Obs.Released;"
+    ~by:"Obs.Locked; Obs.Released;" ~subject:"lib/stm/stm_tl2.ml"
+    ~message:"Lock_busy"
+
+(* Announce Stolen for the global-lock core, which never steals. *)
+let seeded_unemitted =
+  seeded ~rule:"seam-contract" ~file:"lib/stm/stm.ml"
+    ~pat:"Obs.Begin; Obs.Read; Obs.Lock_acquire; Obs.Locked; Obs.Lock_time;"
+    ~by:"Obs.Begin; Obs.Read; Obs.Lock_acquire; Obs.Locked; Obs.Lock_time; Obs.Stolen;"
+    ~subject:"lib/stm/stm.ml" ~message:"no emission site"
+
+let seeded_purity =
+  seeded ~rule:"txn-purity" ~file:"lib/stm/txn_counter.ml"
+    ~pat:"Stm.atomically (fun () -> Stm.write t (Stm.read t + k))"
+    ~by:"Stm.atomically (fun () -> print_endline \"x\"; Stm.write t (Stm.read t + k))"
+    ~subject:"lib/stm/txn_counter.ml" ~message:""
+
+(* A test definition that installs a chaos plan and never releases it,
+   appended to a copy of test_stm.ml (no pattern to match). *)
+let seeded_leak () =
+  with_copy (fun dir ->
+      let path = Filename.concat dir "test/test_stm.ml" in
+      write_file path
+        (read_file path
+        ^ "\nlet _seeded_leak () = Stm.Chaos.install (fun _ -> Stm.Chaos.Proceed)\n");
+      match Sc.run ~rules:[ "armed-leak" ] ~root:dir () with
+      | Error msg -> Alcotest.fail msg
+      | Ok report ->
+          Alcotest.(check bool) "armed-leak fires on test/test_stm.ml" true
+            (List.exists
+               (fun (f : F.t) ->
+                 f.F.rule = "armed-leak" && f.F.subject = "test/test_stm.ml")
+               report.Sc.findings))
+
 let () =
   Alcotest.run "tm_staticcheck"
     [
@@ -242,6 +361,16 @@ let () =
         [
           Alcotest.test_case "clean" `Quick test_leak_clean;
           Alcotest.test_case "violating" `Quick test_leak_bad;
+        ] );
+      ( "seeded",
+        [
+          Alcotest.test_case "unguarded dispatch (seam-guard)" `Quick seeded_guard;
+          Alcotest.test_case "unannounced site (seam-contract)" `Quick
+            seeded_unannounced;
+          Alcotest.test_case "unemitted announcement (seam-contract)" `Quick
+            seeded_unemitted;
+          Alcotest.test_case "transaction I/O (txn-purity)" `Quick seeded_purity;
+          Alcotest.test_case "armed leak (armed-leak)" `Quick seeded_leak;
         ] );
       ( "driver",
         [

@@ -487,94 +487,208 @@ let test_zoo_semantics () =
             (Stm.read l)))
     Stm.Algo.all
 
-(* The per-algorithm phase mapping (Algo.tel_phases) is a promise that
-   telemetry labels stay truthful: a histogram named "lock-acquire"
-   under NOrec would measure a phase the algorithm does not have.
-   Record every phase each core actually emits on a write commit and a
-   conflict-free read, and check it against the declared mapping —
-   including the load-bearing negatives. *)
-let test_zoo_phase_mapping () =
-  List.iter
-    (fun a ->
-      let name = Stm.Algo.name a in
-      let seen : (Stm.Tel.phase, unit) Hashtbl.t = Hashtbl.create 8 in
-      let probe =
-        {
-          Stm.Tel.now = (fun () -> 0);
-          count = (fun p -> Hashtbl.replace seen p ());
-          observe = (fun p _ -> Hashtbl.replace seen p ());
-        }
-      in
-      Stm.with_algo a (fun () ->
-          Stm.Tel.install probe;
-          Fun.protect ~finally:Stm.Tel.uninstall (fun () ->
-              let v = Stm.tvar 0 in
-              Stm.atomically (fun () -> Stm.write v (Stm.read v + 1))));
-      let allowed = Stm.Algo.tel_phases a in
-      Hashtbl.iter
-        (fun p () ->
-          if not (List.mem p allowed) then
-            Alcotest.failf "%s emitted phase %S outside its declared mapping"
-              name (Stm.Tel.phase_label p))
-        seen;
-      let has p = Hashtbl.mem seen p in
-      Alcotest.(check bool) (name ^ ": counts Begin") true (has Stm.Tel.Begin);
-      Alcotest.(check bool) (name ^ ": counts Read") true (has Stm.Tel.Read);
-      Alcotest.(check bool) (name ^ ": observes Publish") true
-        (has Stm.Tel.Publish);
-      Alcotest.(check bool) (name ^ ": observes Commit") true
-        (has Stm.Tel.Commit);
-      match a with
-      | Stm.Algo.Tl2 ->
-          Alcotest.(check bool) "tl2: observes Lock" true (has Stm.Tel.Lock);
-          Alcotest.(check bool) "tl2: observes Validate" true
-            (has Stm.Tel.Validate)
-      | Stm.Algo.Global_lock ->
-          Alcotest.(check bool) "global-lock: observes Lock" true
-            (has Stm.Tel.Lock);
-          Alcotest.(check bool) "global-lock: never Validate" false
-            (has Stm.Tel.Validate)
-      | Stm.Algo.Dstm | Stm.Algo.Norec ->
-          Alcotest.(check bool) (name ^ ": observes Validate") true
-            (has Stm.Tel.Validate);
-          Alcotest.(check bool) (name ^ ": never per-location Lock") false
-            (has Stm.Tel.Lock))
-    Stm.Algo.all
-
-(* Same truthfulness contract for the chaos interception points. *)
-let test_zoo_chaos_points () =
-  List.iter
-    (fun a ->
-      let name = Stm.Algo.name a in
-      let seen : (Stm.Chaos.point, unit) Hashtbl.t = Hashtbl.create 8 in
+(* The per-algorithm announcement (Algo.sites) is a promise that every
+   party of the seam stays truthful: a histogram named "lock-time"
+   under NOrec would measure a phase the algorithm does not have, a
+   chaos plan keyed on an unreachable site never fires, a blame cause
+   no core produces reads as a mechanism that is not there.  One check
+   per core: record every site it reaches — through an observer and
+   through the decider — on a quiet write commit and under two-domain
+   contention, then check each one is announced, the announcement is
+   duplicate-free and in declaration order, and the load-bearing
+   presences and absences hold. *)
+let sites_truthful a () =
+  let name = Stm.Algo.name a in
+  let announced = Stm.Algo.sites a in
+  let index s =
+    let rec go i = function
+      | [] -> assert false
+      | x :: r -> if x = s then i else go (i + 1) r
+    in
+    go 0 Stm.Obs.sites
+  in
+  let seen = Array.map (fun _ -> Atomic.make false) (Array.of_list Stm.Obs.sites) in
+  let decided = Array.map (fun _ -> Atomic.make false) seen in
+  let causes = Array.map (fun _ -> Atomic.make false) (Array.of_list Stm.Blame.causes) in
+  let observed arr = List.filter (fun s -> Atomic.get arr.(index s)) Stm.Obs.sites in
+  let has s = Atomic.get seen.(index s) in
+  let check_announced what sites =
+    List.iter
+      (fun s ->
+        if not (List.mem s announced) then
+          Alcotest.failf "%s: %s site %S outside Algo.sites" name what
+            (Stm.Obs.site_label s))
+      sites
+  in
+  Alcotest.(check bool) (name ^ ": announcement duplicate-free") true
+    (List.length (List.sort_uniq compare announced) = List.length announced);
+  Alcotest.(check bool) (name ^ ": announcement stable") true
+    (Stm.Algo.sites a = announced);
+  Alcotest.(check (list int)) (name ^ ": announcement in declaration order")
+    (List.sort compare (List.map index announced))
+    (List.map index announced);
+  Stm.with_algo a (fun () ->
+      let sub = Stm.Obs.subscribe (fun s _ _ -> Atomic.set seen.(index s) true) in
       Stm.Chaos.install (fun p ->
-          Hashtbl.replace seen p ();
+          Atomic.set decided.(index p) true;
           Stm.Chaos.Proceed);
-      Fun.protect ~finally:Stm.Chaos.uninstall (fun () ->
-          Stm.with_algo a (fun () ->
-              let v = Stm.tvar 0 in
-              Stm.atomically (fun () -> Stm.write v (Stm.read v + 1))));
-      let allowed = Stm.Algo.chaos_points a in
-      Hashtbl.iter
-        (fun p () ->
-          if not (List.mem p allowed) then
-            Alcotest.failf "%s fired point %S outside its declared mapping"
-              name
-              (Stm.Chaos.point_label p))
-        seen;
-      let has p = Hashtbl.mem seen p in
-      Alcotest.(check bool) (name ^ ": fires Read") true (has Stm.Chaos.Read);
-      Alcotest.(check bool) (name ^ ": fires Pre_commit") true
-        (has Stm.Chaos.Pre_commit);
-      Alcotest.(check bool) (name ^ ": fires Post_commit") true
-        (has Stm.Chaos.Post_commit);
-      if a = Stm.Algo.Norec then
-        Alcotest.(check bool) "norec: never Lock_acquire" false
-          (has Stm.Chaos.Lock_acquire);
-      if a = Stm.Algo.Global_lock then
-        Alcotest.(check bool) "global-lock: never Validate" false
-          (has Stm.Chaos.Validate))
-    Stm.Algo.all
+      Fun.protect
+        ~finally:(fun () ->
+          Stm.Chaos.uninstall ();
+          Stm.Obs.unsubscribe sub)
+        (fun () ->
+          let v = Stm.tvar 0 in
+          Stm.atomically (fun () -> Stm.write v (Stm.read v + 1))));
+  check_announced "observed" (observed seen);
+  check_announced "decision" (observed decided);
+  let quiet = observed seen in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (Fmt.str "%s: reaches %s" name (Stm.Obs.site_label s))
+        true (List.mem s quiet))
+    Stm.Obs.[ Begin; Read; Publish_time; Commit; Pre_commit; Post_commit ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (Fmt.str "%s: decides at %s" name (Stm.Obs.site_label s))
+        true
+        (Atomic.get decided.(index s)))
+    Stm.Obs.[ Read; Pre_commit; Post_commit ];
+  (match a with
+  | Stm.Algo.Tl2 ->
+      Alcotest.(check bool) "tl2: times Lock" true (has Stm.Obs.Lock_time);
+      Alcotest.(check bool) "tl2: times Validate" true (has Stm.Obs.Validate_time)
+  | Stm.Algo.Global_lock ->
+      Alcotest.(check bool) "global-lock: times Lock" true (has Stm.Obs.Lock_time);
+      Alcotest.(check bool) "global-lock: never validates" false
+        (has Stm.Obs.Validate_time || Atomic.get decided.(index Stm.Obs.Validate))
+  | Stm.Algo.Dstm | Stm.Algo.Norec ->
+      Alcotest.(check bool) (name ^ ": times Validate") true
+        (has Stm.Obs.Validate_time);
+      Alcotest.(check bool) (name ^ ": never per-location Lock") false
+        (has Stm.Obs.Lock_time));
+  if a = Stm.Algo.Norec then
+    Alcotest.(check bool) "norec: never decides Lock_acquire" false
+      (Atomic.get decided.(index Stm.Obs.Lock_acquire));
+  (* Under contention: the conflict sites, and the blame causes the
+     sink derives from them. *)
+  Stm.with_algo a (fun () ->
+      let sub = Stm.Obs.subscribe (fun s _ _ -> Atomic.set seen.(index s) true) in
+      Stm.Blame.install
+        {
+          Stm.Blame.on_event =
+            (fun e ->
+              let rec go i = function
+                | [] -> ()
+                | c :: r -> if c = e.Stm.Blame.b_cause then Atomic.set causes.(i) true else go (i + 1) r
+              in
+              go 0 Stm.Blame.causes);
+          on_progress = (fun _ -> ());
+        };
+      Fun.protect
+        ~finally:(fun () ->
+          Stm.Blame.uninstall ();
+          Stm.Obs.unsubscribe sub)
+        (fun () ->
+          let hot = Array.init 2 (fun _ -> Stm.tvar 0) in
+          spawn_all
+            (List.init 2 (fun d () ->
+                 Stm.Blame.set_self d;
+                 for _ = 1 to 20_000 do
+                   Stm.atomically (fun () ->
+                       let a = Stm.read hot.(0) in
+                       let b = Stm.read hot.(1) in
+                       Stm.write hot.(0) (a + 1);
+                       Stm.write hot.(1) (b + 1))
+                 done;
+                 Stm.Blame.set_self (-1)))));
+  check_announced "observed" (observed seen);
+  List.iteri
+    (fun i c ->
+      if Atomic.get causes.(i) then
+        let site =
+          Stm.Obs.(
+            match c with
+            | Stm.Blame.Read_conflict -> Read_conflict
+            | Lock_busy -> Lock_busy
+            | Validation -> Validation
+            | Stolen -> Stolen
+            | Wait_budget -> Wait_budget)
+        in
+        Alcotest.(check bool)
+          (Fmt.str "%s: emitted cause %s is announced" name
+             (Stm.Blame.cause_label c))
+          true (List.mem site announced))
+    Stm.Blame.causes
+
+(* Golden emission streams ([golden/seam-<core>.txt]): one domain, a
+   fixed workload under a chaos handler that aborts at fixed decision
+   points, every core.  The trace recorder's event list (t-variable ids
+   rebased to the workload's first t-variable) and the sequence of
+   sites the telemetry probe consumes (without durations) must
+   reproduce the committed streams byte for byte. *)
+let seam_golden a () =
+  let module Tev = Tm_trace.Trace_event in
+  let name = Stm.Algo.name a in
+  let tel_sites =
+    Stm.Obs.[ Begin; Read; Lock_time; Validate_time; Publish_time; Commit; Abort; Retry ]
+  in
+  let tel = ref [] in
+  Stm.with_algo a (fun () ->
+      let k = ref 0 in
+      Stm.Chaos.install (fun _ ->
+          incr k;
+          if List.mem !k [ 2; 5; 9; 14; 20; 27; 35; 44; 54; 65; 77 ] then Stm.Chaos.Abort
+          else Stm.Chaos.Proceed);
+      let sub =
+        Stm.Obs.subscribe (fun s _ _ ->
+            if List.mem s tel_sites then tel := Stm.Obs.site_label s :: !tel)
+      in
+      Stm.Trace.start ();
+      Fun.protect
+        ~finally:(fun () ->
+          Stm.Trace.stop ();
+          Stm.Obs.unsubscribe sub;
+          Stm.Chaos.uninstall ())
+        (fun () ->
+          let a = Stm.tvar 0 and b = Stm.tvar 10 and c = Stm.tvar 20 in
+          for i = 1 to 12 do
+            Stm.atomically (fun () ->
+                let x = Stm.read a in
+                if i mod 3 = 0 then ignore (Stm.read b)
+                else begin
+                  Stm.write a (x + 1);
+                  Stm.write c (Stm.read c + Stm.read b);
+                  if i mod 4 = 0 then Stm.write b x
+                end)
+          done));
+  let evs = Stm.Trace.events () in
+  let base =
+    List.fold_left
+      (fun m (e : Tev.t) -> match Tev.tvar e with Some t -> min m t | None -> m)
+      max_int evs
+  in
+  let rebase (e : Tev.t) =
+    {
+      e with
+      args =
+        List.map
+          (function "tvar", Tev.Int t -> ("tvar", Tev.Int (t - base)) | x -> x)
+          e.args;
+    }
+  in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "# trace\n";
+  List.iter (fun e -> Buffer.add_string buf (Fmt.str "%a\n" Tev.pp (rebase e))) evs;
+  Buffer.add_string buf "# tel\n";
+  List.iter (fun l -> Buffer.add_string buf (l ^ "\n")) (List.rev !tel);
+  let file = Filename.concat "golden" (Fmt.str "seam-%s.txt" name) in
+  let ic = open_in_bin file in
+  let expected = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) (name ^ ": emission stream matches " ^ file) expected
+    (Buffer.contents buf)
 
 let zoo_parallel_counter a () =
   Stm.with_algo a (fun () ->
@@ -718,34 +832,36 @@ let test_norec_value_validation_aba () =
 (* ------------------------------------------------------------------ *)
 (* Blame seam. *)
 
-(* Named regression: [Stm.recover] must disarm every installed seam
-   (Chaos, Tel, Blame) before releasing core-global lock state, and it
+(* Named regression: [Stm.recover] must drop every subscriber of the
+   seam (chaos plan, observers, blame sink, trace recorder) before
+   releasing core-global lock state, and it
    must be idempotent — recover twice, then a clean commit.  A chaos
    handler that crashes every transaction is the sharpest probe: if
    recover left it armed, the commit below would die. *)
 let test_recover_resets_seams () =
   let v = Stm.tvar 0 in
   let blame_hits = Atomic.make 0 in
-  let tel_hits = Atomic.make 0 in
+  let obs_hits = Atomic.make 0 in
   Stm.Blame.install
     {
       Stm.Blame.on_event = (fun _ -> Atomic.incr blame_hits);
       on_progress = (fun _ -> Atomic.incr blame_hits);
     };
-  Stm.Tel.install
-    {
-      Stm.Tel.now = (fun () -> 0);
-      count = (fun _ -> Atomic.incr tel_hits);
-      observe = (fun _ _ -> Atomic.incr tel_hits);
-    };
+  ignore (Stm.Obs.subscribe (fun _ _ _ -> Atomic.incr obs_hits));
+  Stm.Trace.start_null ();
   Stm.Chaos.install (fun _ -> Stm.Chaos.Crash);
   Stm.recover ();
   Stm.recover ();
+  let emitted = Stm.Trace.emitted () in
   Stm.atomically (fun () -> Stm.write v (Stm.read v + 1));
   Alcotest.(check int) "clean commit after double recover" 1 (Stm.read v);
+  Alcotest.(check bool) "seam disarmed" false (Stm.Obs.is_armed ());
   Alcotest.(check bool) "blame disarmed" false (Stm.Blame.is_armed ());
+  Alcotest.(check bool) "chaos disarmed" false (Stm.Chaos.is_armed ());
+  Alcotest.(check bool) "trace stopped" false (Stm.Trace.is_on ());
   Alcotest.(check int) "blame sink silent" 0 (Atomic.get blame_hits);
-  Alcotest.(check int) "tel probe silent" 0 (Atomic.get tel_hits)
+  Alcotest.(check int) "observer silent" 0 (Atomic.get obs_hits);
+  Alcotest.(check int) "trace recorder silent" emitted (Stm.Trace.emitted ())
 
 (* While disarmed, the seam must be inert: no sink calls, no identity
    reads, [self] at its default. *)
@@ -792,45 +908,7 @@ let test_blame_progress_watermark () =
   Alcotest.(check int) "progress carries the bound slot" 7
     (Atomic.get slot_seen)
 
-(* Every cause a core emits under real contention must be in its
-   declared [Algo.blame_causes] — the attribution never lies about the
-   mechanism.  (The converse — every declared cause eventually seen —
-   is load-dependent and belongs to the bench.) *)
-let blame_causes_truthful algo () =
-  Stm.with_algo algo (fun () ->
-      let seen = Atomic.make [] in
-      let rec push c =
-        let old = Atomic.get seen in
-        if not (Atomic.compare_and_set seen old (c :: old)) then push c
-      in
-      Stm.Blame.install
-        {
-          Stm.Blame.on_event = (fun e -> push e.Stm.Blame.b_cause);
-          on_progress = (fun _ -> ());
-        };
-      let hot = Array.init 2 (fun _ -> Stm.tvar 0) in
-      spawn_all
-        (List.init 2 (fun d () ->
-             Stm.Blame.set_self d;
-             for _ = 1 to 20_000 do
-               Stm.atomically (fun () ->
-                   let a = Stm.read hot.(0) in
-                   let b = Stm.read hot.(1) in
-                   Stm.write hot.(0) (a + 1);
-                   Stm.write hot.(1) (b + 1))
-             done;
-             Stm.Blame.set_self (-1)));
-      Stm.Blame.uninstall ();
-      let allowed = Stm.Algo.blame_causes algo in
-      List.iter
-        (fun c ->
-          Alcotest.(check bool)
-            (Fmt.str "%s: emitted cause %s is declared" (Stm.Algo.name algo)
-               (Stm.Blame.cause_label c))
-            true (List.mem c allowed))
-        (Atomic.get seen))
-
-(* The announcement tables are consumed as association keys — telemetry
+(* The announcement table is consumed as association keys — telemetry
    label sets, chaos plans, blame classification — so a duplicated
    entry or an order that varied between calls would silently skew
    those consumers.  tmstatic cross-checks the same tables against each
@@ -842,16 +920,9 @@ let test_algo_tables_hygienic =
     ~print:Stm.Algo.name
     QCheck2.Gen.(oneofl Stm.Algo.all)
     (fun a ->
-      let dup_free l =
-        List.length (List.sort_uniq compare l) = List.length l
-      in
-      let stable f = f a = f a in
-      dup_free (Stm.Algo.tel_phases a)
-      && dup_free (Stm.Algo.chaos_points a)
-      && dup_free (Stm.Algo.blame_causes a)
-      && stable Stm.Algo.tel_phases
-      && stable Stm.Algo.chaos_points
-      && stable Stm.Algo.blame_causes)
+      let l = Stm.Algo.sites a in
+      List.length (List.sort_uniq compare l) = List.length l
+      && Stm.Algo.sites a = l)
 
 (* ------------------------------------------------------------------ *)
 (* The allocation-free hot path: post-commit chaos, words per
@@ -868,7 +939,7 @@ let post_commit_abort a () =
         let fired = Atomic.make 0 in
         Stm.Chaos.install (fun p ->
             match p with
-            | Stm.Chaos.Post_commit ->
+            | Stm.Obs.Post_commit ->
                 if Atomic.fetch_and_add fired 1 = 0 || always then
                   Stm.Chaos.Abort
                 else Stm.Chaos.Proceed
@@ -1110,10 +1181,22 @@ let () =
       ( "algorithm zoo",
         [
           Alcotest.test_case "semantics, every core" `Quick test_zoo_semantics;
-          Alcotest.test_case "telemetry phase mapping truthful" `Quick
-            test_zoo_phase_mapping;
-          Alcotest.test_case "chaos point mapping truthful" `Quick
-            test_zoo_chaos_points;
+          Alcotest.test_case "tl2 sites truthful" `Slow
+            (sites_truthful Stm.Algo.Tl2);
+          Alcotest.test_case "global-lock sites truthful" `Slow
+            (sites_truthful Stm.Algo.Global_lock);
+          Alcotest.test_case "dstm sites truthful" `Slow
+            (sites_truthful Stm.Algo.Dstm);
+          Alcotest.test_case "norec sites truthful" `Slow
+            (sites_truthful Stm.Algo.Norec);
+          Alcotest.test_case "tl2 golden emission stream" `Quick
+            (seam_golden Stm.Algo.Tl2);
+          Alcotest.test_case "global-lock golden emission stream" `Quick
+            (seam_golden Stm.Algo.Global_lock);
+          Alcotest.test_case "dstm golden emission stream" `Quick
+            (seam_golden Stm.Algo.Dstm);
+          Alcotest.test_case "norec golden emission stream" `Quick
+            (seam_golden Stm.Algo.Norec);
           QCheck_alcotest.to_alcotest test_algo_tables_hygienic;
           Alcotest.test_case "global-lock parallel counter" `Slow
             (zoo_parallel_counter Stm.Algo.Global_lock);
@@ -1140,14 +1223,6 @@ let () =
             test_blame_disarmed_inert;
           Alcotest.test_case "progress watermark" `Quick
             test_blame_progress_watermark;
-          Alcotest.test_case "tl2 causes truthful" `Slow
-            (blame_causes_truthful Stm.Algo.Tl2);
-          Alcotest.test_case "global-lock causes truthful" `Slow
-            (blame_causes_truthful Stm.Algo.Global_lock);
-          Alcotest.test_case "dstm causes truthful" `Slow
-            (blame_causes_truthful Stm.Algo.Dstm);
-          Alcotest.test_case "norec causes truthful" `Slow
-            (blame_causes_truthful Stm.Algo.Norec);
         ] );
       ( "hot path",
         [

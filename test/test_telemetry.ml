@@ -68,7 +68,7 @@ let test_buckets () =
     [ 0; 1; 2; 3; 7; 8; 100; 4095; 4096; 1_000_000_000 ]
 
 let test_pp_hsnap_empty () =
-  let h = I.histogram ~shards:1 () in
+  let h = I.histogram () in
   Alcotest.(check string)
     "empty snapshot prints (empty)" "(empty)"
     (Fmt.str "%a" I.pp_hsnap (I.hist_snapshot h))
@@ -78,7 +78,7 @@ let prop_quantiles =
     ~name:"histogram quantiles: ordered, bounded by max, count conserved"
     QCheck.(list_of_size Gen.(1 -- 200) (int_bound 2_000_000))
     (fun samples ->
-      let h = I.histogram ~shards:1 () in
+      let h = I.histogram () in
       List.iter (I.observe h) samples;
       let s = I.hist_snapshot h in
       let q p = I.quantile s p in
@@ -98,7 +98,7 @@ let test_absorb () =
     List.fold_left Tm_sim.Metrics.hist_add Tm_sim.Metrics.hist_empty
       [ 0; 1; 5; 100; 9000 ]
   in
-  let h = I.histogram ~shards:1 () in
+  let h = I.histogram () in
   I.absorb h ~buckets:src.Tm_sim.Metrics.buckets ~sum:src.Tm_sim.Metrics.sum
     ~max_sample:src.Tm_sim.Metrics.max_sample;
   let s = I.hist_snapshot h in
@@ -117,7 +117,7 @@ let test_absorb_overflow () =
   in
   Alcotest.(check int) "sample sits in the source overflow bucket" 1
     src.Tm_sim.Metrics.buckets.(Tm_sim.Metrics.nbuckets - 1);
-  let h = I.histogram ~shards:1 () in
+  let h = I.histogram () in
   I.absorb h ~buckets:src.Tm_sim.Metrics.buckets ~sum:src.Tm_sim.Metrics.sum
     ~max_sample:src.Tm_sim.Metrics.max_sample;
   let s = I.hist_snapshot h in
@@ -164,7 +164,7 @@ let prop_hires_quantiles =
     ~name:"hires quantiles: ordered, bounded by max, count conserved"
     QCheck.(list_of_size Gen.(1 -- 200) (int_bound 2_000_000))
     (fun samples ->
-      let h = I.hires ~shards:1 () in
+      let h = I.hires () in
       List.iter (I.hires_observe h) samples;
       let s = I.hires_snapshot h in
       let q p = I.hires_quantile s p in
@@ -188,7 +188,7 @@ let prop_merge_quantile_monotone =
         (list_of_size Gen.(1 -- 100) (int_bound 2_000_000)))
     (fun (xs, ys) ->
       let hist samples =
-        let h = I.histogram ~shards:1 () in
+        let h = I.histogram () in
         List.iter (I.observe h) samples;
         I.hist_snapshot h
       in
@@ -265,12 +265,12 @@ let test_latency_recorder_open_vs_closed () =
 let test_openmetrics_roundtrip () =
   let reg = R.create () in
   let c =
-    R.counter reg ~shards:1
+    R.counter reg
       ~labels:[ ("tm", "tl2") ]
       ~help:"ops" "tm_test_ops_total"
   in
   let g = R.gauge reg ~init:7 ~help:"width" "tm_test_width" in
-  let h = R.histogram reg ~shards:1 ~help:"latency" "tm_test_lat_ns" in
+  let h = R.histogram reg ~help:"latency" "tm_test_lat_ns" in
   let st =
     R.state reg ~key:"class"
       ~states:[| "idle"; "busy" |]
@@ -317,7 +317,7 @@ let test_openmetrics_roundtrip () =
 
 let test_hires_openmetrics_roundtrip () =
   let reg = R.create () in
-  let h = R.hires reg ~shards:1 ~help:"sojourn" "tm_test_sojourn_ns" in
+  let h = R.hires reg ~help:"sojourn" "tm_test_sojourn_ns" in
   let samples = [ 1; 9; 10; 1_000; 1_000_000 ] in
   List.iter (I.hires_observe h) samples;
   let text = E.to_openmetrics (R.scrape reg ~ts:0) in
@@ -387,7 +387,7 @@ let test_openmetrics_empty_exposition () =
 let test_openmetrics_escaped_labels () =
   let reg = R.create () in
   let c =
-    R.counter reg ~shards:1
+    R.counter reg
       ~labels:[ ("path", "a\\b\"c\nd") ]
       ~help:"escapes" "tm_test_esc_total"
   in
