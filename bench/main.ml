@@ -1024,11 +1024,23 @@ let p4_parallel_sweep () =
     (Tm_sim.Sweep.by_tm seq)
 
 (* ------------------------------------------------------------------ *)
-(* The seam-overhead sections (P5, P7, P8, P10) share one workload: a
-   warmed-up loop of [seam_iters] single-domain increments on a fresh
-   t-variable, timed min-of-3-trials to shave scheduler noise. *)
+(* The seam-overhead sections (P5, P7, P8, P10) share one workload, a
+   warmed-up loop of single-domain increments on a fresh t-variable,
+   and one protocol.  A section times a few configurations of the seam
+   (disarmed, armed, disarmed again).  Each of [seam_rounds] rounds
+   visits every configuration in turn — arm, [seam_trials] trials of
+   [seam_iters] increments, disarm — and a configuration's figure is
+   its fastest trial over all rounds.  A trial lasts a few
+   milliseconds, so on a loaded host most trials run undisturbed; and
+   because the rounds interleave the configurations, a slow phase of
+   the host lands on all of them alike instead of on whichever one was
+   being measured.  (Three back-to-back trials of 200 000 increments
+   per configuration spanned host preemptions, which landed undivided
+   on the per-event figures.) *)
 
-let seam_iters = 200_000
+let seam_iters = 10_000
+let seam_rounds = 20
+let seam_trials = 5
 
 let time_once f =
   let t0 = Unix.gettimeofday () in
@@ -1037,6 +1049,30 @@ let time_once f =
 
 let min3 f = List.fold_left min infinity (List.init 3 (fun _ -> time_once f))
 let per_txn t = 1e9 *. t /. float_of_int seam_iters
+
+type seam_config = { arm : unit -> unit; disarm : unit -> unit }
+
+let disarmed = { arm = ignore; disarm = ignore }
+
+(* The fastest trial of [work] under each configuration, in order. *)
+let fastest work configs =
+  let best = Array.make (List.length configs) infinity in
+  for _ = 1 to seam_rounds do
+    List.iteri
+      (fun i c ->
+        c.arm ();
+        for _ = 1 to seam_trials do
+          best.(i) <- Float.min best.(i) (time_once work)
+        done;
+        c.disarm ())
+      configs
+  done;
+  best
+
+let pr_protocol () =
+  Fmt.pr
+    "  single-domain increments, fastest of %d rounds x %d trials of %d:@."
+    seam_rounds seam_trials seam_iters
 
 let increments () =
   let v = Tm_stm.Stm.tvar 0 in
@@ -1057,27 +1093,37 @@ let increments () =
 let p5_trace_overhead () =
   section "P5" "tracing overhead: off vs null sink vs ring sink";
   let work = increments () in
-  let t_off = min3 work in
+  (* The events one trial emits, counted by the null sink outside the
+     timed runs; the null sink stores none of them. *)
   Tm_stm.Stm.Trace.start_null ();
-  let t_null = min3 work in
+  work ();
   let null_emitted = Tm_stm.Stm.Trace.emitted () in
   Tm_stm.Stm.Trace.stop ();
-  (* Read before the ring run below repopulates the registry. *)
   let null_stored = Tm_stm.Stm.Trace.events () in
   let ring_capacity = 4096 in
-  Tm_stm.Stm.Trace.start ~capacity:ring_capacity ();
-  let t_ring = min3 work in
-  Tm_stm.Stm.Trace.stop ();
+  let t =
+    fastest work
+      [
+        disarmed;
+        { arm = Tm_stm.Stm.Trace.start_null; disarm = Tm_stm.Stm.Trace.stop };
+        {
+          arm = (fun () -> Tm_stm.Stm.Trace.start ~capacity:ring_capacity ());
+          disarm = Tm_stm.Stm.Trace.stop;
+        };
+      ]
+  in
+  let t_off = t.(0) and t_null = t.(1) and t_ring = t.(2) in
+  (* The last round's ring session. *)
   let ring_retained = List.length (Tm_stm.Stm.Trace.events ()) in
   let ring_dropped = Tm_stm.Stm.Trace.dropped () in
-  (* null_emitted spans the 3 timed trials; t_null is one trial. *)
-  let events_per_trial = float_of_int null_emitted /. 3.0 in
-  let null_ns_per_event = 1e9 *. (t_null -. t_off) /. events_per_trial in
-  Fmt.pr "  %d single-domain increments, min of 3 trials:@." seam_iters;
+  let null_ns_per_event =
+    1e9 *. (t_null -. t_off) /. float_of_int null_emitted
+  in
+  pr_protocol ();
   Fmt.pr "    tracing off   %.4fs (%5.1f ns/txn)@." t_off (per_txn t_off);
   Fmt.pr
-    "    null sink     %.4fs (%5.1f ns/txn, %.2fx, %d events emitted, \
-     %.1f ns/event)@."
+    "    null sink     %.4fs (%5.1f ns/txn, %.2fx, %d events/trial, %.1f \
+     ns/event)@."
     t_null (per_txn t_null) (t_null /. t_off) null_emitted null_ns_per_event;
   Fmt.pr
     "    ring sink     %.4fs (%5.1f ns/txn, %.2fx, %d retained / %d \
@@ -1175,7 +1221,6 @@ let p6_analysis () =
 let p7_chaos_overhead () =
   section "P7" "chaos hooks: disarmed vs no-op handler on the Stm hot path";
   let work = increments () in
-  let t_off = min3 work in
   (* Count the interception points one trial fires (a counting handler,
      outside the timed runs). *)
   let fired = Atomic.make 0 in
@@ -1185,14 +1230,24 @@ let p7_chaos_overhead () =
   work ();
   let events_per_trial = Atomic.get fired in
   Tm_stm.Stm.Chaos.uninstall ();
-  Tm_stm.Stm.Chaos.install (fun _ -> Tm_stm.Stm.Chaos.Proceed);
-  let t_armed = min3 work in
-  Tm_stm.Stm.Chaos.uninstall ();
-  let t_disarmed = min3 work in
+  let t =
+    fastest work
+      [
+        disarmed;
+        {
+          arm =
+            (fun () ->
+              Tm_stm.Stm.Chaos.install (fun _ -> Tm_stm.Stm.Chaos.Proceed));
+          disarm = Tm_stm.Stm.Chaos.uninstall;
+        };
+        disarmed;
+      ]
+  in
+  let t_off = t.(0) and t_armed = t.(1) and t_disarmed = t.(2) in
   let armed_ns_per_event =
     1e9 *. (t_armed -. t_off) /. float_of_int events_per_trial
   in
-  Fmt.pr "  %d single-domain increments, min of 3 trials:@." seam_iters;
+  pr_protocol ();
   Fmt.pr "    hooks disarmed  %.4fs (%5.1f ns/txn)@." t_off (per_txn t_off);
   Fmt.pr
     "    no-op handler   %.4fs (%5.1f ns/txn, %.2fx, %d points/trial, %.1f \
@@ -1222,7 +1277,6 @@ let p7_chaos_overhead () =
 let p8_telemetry_overhead () =
   section "P8" "telemetry: disarmed vs armed Stm probe, scrape cost";
   let work = increments () in
-  let t_off = min3 work in
   (* Count the events one trial delivers that the registry probe
      consumes (a counting observer, outside the timed runs); the probe
      ignores every other site. *)
@@ -1239,19 +1293,32 @@ let p8_telemetry_overhead () =
   let events_per_trial = Atomic.get fired in
   Tm_stm.Stm.Obs.unsubscribe counting;
   (* The real thing: registry-backed counters and ns histograms, the
-     monotonic clock included. *)
-  let reg = Tm_telemetry.Registry.create () in
-  ignore (Tm_telemetry.Stm_probe.install reg);
-  let t_armed = min3 work in
-  Tm_telemetry.Stm_probe.uninstall ();
-  let t_disarmed = min3 work in
+     monotonic clock included.  Each round installs the probe into a
+     fresh registry (installing registers its instruments); the scrape
+     check below reads the last one. *)
+  let reg = ref (Tm_telemetry.Registry.create ()) in
+  let t =
+    fastest work
+      [
+        disarmed;
+        {
+          arm =
+            (fun () ->
+              reg := Tm_telemetry.Registry.create ();
+              ignore (Tm_telemetry.Stm_probe.install !reg));
+          disarm = Tm_telemetry.Stm_probe.uninstall;
+        };
+        disarmed;
+      ]
+  in
+  let t_off = t.(0) and t_armed = t.(1) and t_disarmed = t.(2) in
   let armed_ns_per_event =
     1e9 *. (t_armed -. t_off) /. float_of_int events_per_trial
   in
   let disarmed_ns_per_event =
     1e9 *. (t_disarmed -. t_off) /. float_of_int events_per_trial
   in
-  Fmt.pr "  %d single-domain increments, min of 3 trials:@." seam_iters;
+  pr_protocol ();
   Fmt.pr "    probe disarmed  %.4fs (%5.1f ns/txn)@." t_off (per_txn t_off);
   Fmt.pr
     "    registry probe  %.4fs (%5.1f ns/txn, %.2fx, %d events/trial, %.1f \
@@ -1273,7 +1340,7 @@ let p8_telemetry_overhead () =
     ~measured:(t_disarmed /. t_off < 1.5);
   (* Scrape cost is a function of the registered instruments, not of how
      many events they absorbed: scraping the registry that just took
-     ~10^6 events must cost the same as scraping an identical fresh
+     ~3*10^5 events must cost the same as scraping an identical fresh
      one. *)
   let scrapes = 2000 in
   let time_scrapes r =
@@ -1285,13 +1352,13 @@ let p8_telemetry_overhead () =
   let fresh = Tm_telemetry.Registry.create () in
   ignore (Tm_telemetry.Stm_probe.register fresh);
   let t_fresh = time_scrapes fresh in
-  let t_loaded = time_scrapes reg in
+  let t_loaded = time_scrapes !reg in
   Fmt.pr
     "  %d scrapes: fresh registry %.4fs (%5.1f us/scrape), after ~%dk \
      events %.4fs (%5.1f us/scrape, %.2fx)@."
     scrapes t_fresh
     (1e6 *. t_fresh /. float_of_int scrapes)
-    (3 * events_per_trial / 1000)
+    (seam_trials * events_per_trial / 1000)
     t_loaded
     (1e6 *. t_loaded /. float_of_int scrapes)
     (t_loaded /. t_fresh);
@@ -1597,28 +1664,39 @@ let p10_blame_overhead () =
   let module Stm = Tm_stm.Stm in
   section "P10" "blame: disarmed vs armed attribution seam, stolen edges";
   let work = increments () in
-  let t_off = min3 work in
   (* A counting sink: uncontended single-domain increments produce no
      blame edges, so what fires per commit is the progress watermark —
      the seam's hot-path component. *)
   let fired = Atomic.make 0 in
-  Stm.Blame.install
+  let sink =
     {
       Stm.Blame.on_event = (fun _ -> Atomic.incr fired);
       on_progress = (fun _ -> Atomic.incr fired);
-    };
+    }
+  in
+  Stm.Blame.install sink;
   work ();
   let events_per_trial = Atomic.get fired in
-  let t_armed = min3 work in
   Stm.Blame.uninstall ();
-  let t_disarmed = min3 work in
+  let t =
+    fastest work
+      [
+        disarmed;
+        {
+          arm = (fun () -> Stm.Blame.install sink);
+          disarm = Stm.Blame.uninstall;
+        };
+        disarmed;
+      ]
+  in
+  let t_off = t.(0) and t_armed = t.(1) and t_disarmed = t.(2) in
   let armed_ns_per_event =
     1e9 *. (t_armed -. t_off) /. float_of_int events_per_trial
   in
   let disarmed_ns_per_event =
     1e9 *. (t_disarmed -. t_off) /. float_of_int events_per_trial
   in
-  Fmt.pr "  %d single-domain increments, min of 3 trials:@." seam_iters;
+  pr_protocol ();
   Fmt.pr "    seam disarmed   %.4fs (%5.1f ns/txn)@." t_off (per_txn t_off);
   Fmt.pr
     "    counting sink   %.4fs (%5.1f ns/txn, %.2fx, %d events/trial, %.1f \
@@ -1691,13 +1769,15 @@ let p10_blame_overhead () =
   output_string oc
     (Fmt.str
        "{\"experiment\":\"P10\",\"claim\":\"blame seam free when disarmed, \
-        truthful when armed\",\"seam_iters\":%d,\"seam\":{\"baseline_s\":%.4f,\
+        truthful when armed\",\"seam_iters\":%d,\"seam_rounds\":%d,\
+        \"seam_trials\":%d,\"seam\":{\"baseline_s\":%.4f,\
         \"armed_s\":%.4f,\"uninstalled_s\":%.4f,\"events_per_trial\":%d,\
         \"armed_ns_per_event\":%.1f,\"disarmed_ns_per_event\":%.1f},\
         \"separation\":{\"iters_per_domain\":%d,\"dstm_stolen\":%d,\
         \"tl2_stolen\":%d,\"holds\":%b}}\n"
-       seam_iters t_off t_armed t_disarmed events_per_trial armed_ns_per_event
-       disarmed_ns_per_event iters2 dstm_stolen tl2_stolen
+       seam_iters seam_rounds seam_trials t_off t_armed t_disarmed
+       events_per_trial armed_ns_per_event disarmed_ns_per_event iters2
+       dstm_stolen tl2_stolen
        (dstm_stolen > 0 && tl2_stolen = 0));
   close_out oc;
   Fmt.pr "    blame numbers written to %s@." out

@@ -126,7 +126,7 @@ exception Stop_worker
 
 type workload = {
   w_name : string;
-  w_make : domains:int -> int -> unit -> unit -> unit;
+  w_make : domains:int -> int -> unit -> Stm.tx -> unit;
 }
 
 (* Every transaction writes t-variable 0 (plus one other), so every pair
@@ -142,11 +142,11 @@ let hot_set ~tvars =
         let r = !st * 48271 mod 0x7FFFFFFF in
         st := r;
         let other = 1 + (r mod (n - 1)) in
-        fun () ->
-          let v0 = Stm.read shared.(0) in
-          let vo = Stm.read shared.(other) in
-          Stm.write shared.(0) (v0 + 1);
-          Stm.write shared.(other) (vo + 1)
+        fun tx ->
+          let v0 = Stm.Tx.read tx shared.(0) in
+          let vo = Stm.Tx.read tx shared.(other) in
+          Stm.Tx.write tx shared.(0) (v0 + 1);
+          Stm.Tx.write tx shared.(other) (vo + 1)
   in
   { w_name = Fmt.str "hot-set[tvars=%d]" (max 2 tvars); w_make = make }
 
@@ -199,10 +199,10 @@ let worker ~stop ~next ~mine ~algo ~fault ~parasite_gate ~parasite_on ~ops
     | Some from -> parasite_gate () && Tel.Instrument.value ops >= from
     | None -> false
   in
-  let parasite_spin () =
+  let parasite_spin tx =
     Atomic.set parasite_on true;
     while true do
-      ignore (Stm.read mine);
+      ignore (Stm.Tx.read tx mine);
       if Atomic.get stop then raise Stop_worker;
       Domain.cpu_relax ()
     done
@@ -212,20 +212,20 @@ let worker ~stop ~next ~mine ~algo ~fault ~parasite_gate ~parasite_on ~ops
      while not (Atomic.get stop) do
        if (not in_body_takeover) && parasitic_now () then begin
          ignore (mark ());
-         Stm.atomically (fun () ->
+         Stm.atomically_tx (fun tx ->
              Tel.Instrument.incr attempts;
-             parasite_spin ())
+             parasite_spin tx)
        end
        else begin
          let body = next () in
          let sched = mark () in
-         Stm.atomically (fun () ->
+         Stm.atomically_tx (fun tx ->
              (* Re-run on every attempt: a permanently starving domain
                 still gets to observe the stop flag. *)
              if Atomic.get stop then raise Stop_worker;
              Tel.Instrument.incr attempts;
-             body ();
-             if in_body_takeover && parasitic_now () then parasite_spin ();
+             body tx;
+             if in_body_takeover && parasitic_now () then parasite_spin tx;
              Tel.Instrument.incr trycs);
          Tel.Instrument.incr commits;
          complete sched

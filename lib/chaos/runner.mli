@@ -60,15 +60,16 @@ val session_injected : session -> int -> int
 
 type workload = {
   w_name : string;  (** named by {!pp_table} and {!to_json} *)
-  w_make : domains:int -> int -> unit -> unit -> unit;
+  w_make : domains:int -> int -> unit -> Tm_stm.Stm.tx -> unit;
       (** [w_make ~domains] runs once the plan's core is selected and
           builds the workload's shared state.  Applied to a plan slot
           [d] it gives that slot's generator: each call returns the body
           of [d]'s next transaction, which the worker runs (and re-runs
-          on abort) inside [Stm.atomically].  Contract: every body
-          writes one t-variable that all slots share, so a crash
-          holding commit locks strands every peer — the premise of the
-          plan's per-algorithm expectations. *)
+          on abort) inside [Stm.atomically_tx], handing it the
+          domain's descriptor.  Contract: every body writes one
+          t-variable that all slots share, so a crash holding commit
+          locks strands every peer — the premise of the plan's
+          per-algorithm expectations. *)
 }
 (** What the worker domains run.  Everything else — fault dispatch,
     the parasite's private t-variable and takeover, counters, latency

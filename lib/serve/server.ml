@@ -172,7 +172,7 @@ let run ?on_sample cfg =
        generator, the op buffer and the transaction body over it. *)
     let g = Prng.create 0 in
     let buf = Store.buf_create ~capacity:Workload.max_ops in
-    let body () = Store.exec_buf store buf in
+    let body tx = Store.exec_buf store tx buf in
     (* Open-loop pacing state: a per-domain arrival cursor walked in
        global-index order (the schedule is a pure function of the index,
        so every domain count derives the same arrival times). *)
@@ -213,7 +213,7 @@ let run ?on_sample cfg =
           | Some r -> Tel.Latency_recorder.mark r d ~sched
           | None -> ());
           let start = now_ns () in
-          Stm.atomically body;
+          Stm.atomically_tx body;
           let finish = now_ns () in
           Tel.Instrument.observe lat.(kind) (finish - start);
           match recorder with
@@ -367,8 +367,8 @@ let chaos_workload cfg =
       let client = ref d and index = ref 0 and mutates = ref false in
       (* [exec_buf] marks the journal for a mutator; mark a pure read
          here, so every request marks it once. *)
-      let body () =
-        Store.exec_buf store buf;
+      let body tx =
+        Store.exec_buf store tx buf;
         if not !mutates then Store.journal_mark store 1
       in
       fun () ->

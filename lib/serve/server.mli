@@ -29,8 +29,8 @@
     Admission runs before generation: an executor draws only the
     request's shape, decides, and fills the shape's ops into its
     per-domain op buffer only if the request is admitted, then runs the
-    buffer with {!Store.exec_buf} through one transaction body built
-    before the loop.  A shed request costs one draw and no
+    buffer with {!Store.exec_buf} through one [Stm.atomically_tx] body
+    built before the loop.  A shed request costs one draw and no
     allocation.  A put takes the same path as every other kind. *)
 
 val drain_units : int

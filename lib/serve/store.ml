@@ -36,22 +36,25 @@ let op_mutates = function
   | O_get _ -> false
   | O_put _ | O_add _ | O_cas _ -> true
 
-let exec_op t = function
-  | O_get k -> R_value (Stm.read (slot t k))
+(* [op] inside the transaction running on [tx]. *)
+let exec_in t tx = function
+  | O_get k -> R_value (Stm.Tx.read tx (slot t k))
   | O_put (k, v) ->
-      Stm.write (slot t k) v;
+      Stm.Tx.write tx (slot t k) v;
       R_unit
   | O_add (k, d) ->
       let tv = slot t k in
-      Stm.write tv (Stm.read tv + d);
+      Stm.Tx.write tx tv (Stm.Tx.read tx tv + d);
       R_unit
   | O_cas (k, expected, desired) ->
       let tv = slot t k in
-      if Stm.read tv = expected then begin
-        Stm.write tv desired;
+      if Stm.Tx.read tx tv = expected then begin
+        Stm.Tx.write tx tv desired;
         R_bool true
       end
       else R_bool false
+
+let exec_op t op = exec_in t (Stm.Tx.current ()) op
 
 type tag = B_get | B_put | B_add | B_cas
 
@@ -86,42 +89,45 @@ let buf_op b i =
   | B_add -> O_add (k, a)
   | B_cas -> O_cas (k, a, b.b_arg2.(i))
 
-let journal_mark t n =
+let mark_in t tx n =
   match t.st_journal with
   | None -> ()
-  | Some j -> Stm.write j (Stm.read j + n)
+  | Some j -> Stm.Tx.write tx j (Stm.Tx.read tx j + n)
+
+let journal_mark t n = mark_in t (Stm.Tx.current ()) n
 
 (* [exec_op] over the buffer, results discarded: no [op] or [result]
-   block is built. *)
-let exec_buf t b =
+   block is built.  The descriptor parameter makes the function a
+   transaction body for tmstatic's txn-purity rule. *)
+let exec_buf t (tx : Stm.tx) b =
   let mutated = ref false in
   for i = 0 to b.b_len - 1 do
     let tv = slot t b.b_key.(i) in
     match b.b_tag.(i) with
-    | B_get -> ignore (Stm.read tv)
+    | B_get -> ignore (Stm.Tx.read tx tv)
     | B_put ->
-        Stm.write tv b.b_arg.(i);
+        Stm.Tx.write tx tv b.b_arg.(i);
         mutated := true
     | B_add ->
-        Stm.write tv (Stm.read tv + b.b_arg.(i));
+        Stm.Tx.write tx tv (Stm.Tx.read tx tv + b.b_arg.(i));
         mutated := true
     | B_cas ->
-        if Stm.read tv = b.b_arg.(i) then Stm.write tv b.b_arg2.(i);
+        if Stm.Tx.read tx tv = b.b_arg.(i) then Stm.Tx.write tx tv b.b_arg2.(i);
         mutated := true
   done;
-  if !mutated then journal_mark t 1
+  if !mutated then mark_in t tx 1
 
-let get t k = Stm.atomically (fun () -> Stm.read (slot t k))
+let get t k = Stm.atomically_tx (fun tx -> Stm.Tx.read tx (slot t k))
 
 let put t k v =
-  Stm.atomically (fun () ->
-      Stm.write (slot t k) v;
-      journal_mark t 1)
+  Stm.atomically_tx (fun tx ->
+      Stm.Tx.write tx (slot t k) v;
+      mark_in t tx 1)
 
 let cas t k ~expected ~desired =
-  Stm.atomically (fun () ->
-      journal_mark t 1;
-      match exec_op t (O_cas (k, expected, desired)) with
+  Stm.atomically_tx (fun tx ->
+      mark_in t tx 1;
+      match exec_in t tx (O_cas (k, expected, desired)) with
       | R_bool b -> b
       | _ -> assert false)
 
@@ -141,9 +147,9 @@ let spec_op m = function
       else R_bool false
 
 let multi t ops =
-  Stm.atomically (fun () ->
-      let rs = List.map (exec_op t) ops in
-      if List.exists op_mutates ops then journal_mark t 1;
+  Stm.atomically_tx (fun tx ->
+      let rs = List.map (exec_in t tx) ops in
+      if List.exists op_mutates ops then mark_in t tx 1;
       rs)
 
 let value t k = get t k
@@ -153,4 +159,4 @@ let sum t = Array.fold_left ( + ) 0 (dump t)
 let journal_value t =
   match t.st_journal with
   | None -> 0
-  | Some j -> Stm.atomically (fun () -> Stm.read j)
+  | Some j -> Stm.atomically_tx (fun tx -> Stm.Tx.read tx j)

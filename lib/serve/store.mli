@@ -3,8 +3,10 @@
     Keys are dense ints in [0 .. keys-1], striped round-robin over a
     fixed stripe count: stripe [s] owns the directory of every key [k]
     with [k mod stripes = s].  Each key is one [int Stm.tvar]; all
-    operations run inside [Stm.atomically] under whichever core is
-    selected, so a multi-key request is one transaction.
+    operations run inside one transaction under whichever core is
+    selected, so a multi-key request is one transaction.  They reach
+    the t-variables through the domain's transaction descriptor
+    ([Stm.Tx]).
 
     An optional {e journal} t-variable turns every mutating transaction
     into a conflict on one shared location: the serving path marks the
@@ -28,8 +30,9 @@ val keys : t -> int
 (** {2 Transactional operations}
 
     The [O_]-prefixed operations are the request alphabet; {!exec_op}
-    runs one {e inside} an enclosing [Stm.atomically] body, so callers
-    compose them freely into larger transactions. *)
+    runs one {e inside} an enclosing [Stm.atomically] or
+    [Stm.atomically_tx] body, so callers compose them freely into
+    larger transactions. *)
 
 type op =
   | O_get of int  (** read a key *)
@@ -47,7 +50,9 @@ val op_mutates : op -> bool
     write, so admission and journal accounting treat it as a mutator). *)
 
 val exec_op : t -> op -> result
-(** Run one op inside the current transaction. *)
+(** Run one op inside the current transaction, through the calling
+    domain's descriptor ([Stm.Tx.current]).
+    @raise Invalid_argument outside a transaction. *)
 
 (** {2 The flat op buffer}
 
@@ -75,15 +80,16 @@ val buf_set : buf -> int -> tag -> int -> int -> int -> unit
 val buf_op : buf -> int -> op
 (** Op [i] as an {!op}. *)
 
-val exec_buf : t -> buf -> unit
-(** Inside the current transaction: {!exec_op} each of the buffer's ops
-    in order, then {!journal_mark} once if any op mutates.  Results are
-    discarded; allocates nothing beyond what the core's reads and writes
-    do. *)
+val exec_buf : t -> Tm_stm.Stm.tx -> buf -> unit
+(** [exec_buf t tx b], the body of an [Stm.atomically_tx] over [tx]:
+    {!exec_op} each of the buffer's ops in order, then {!journal_mark}
+    once if any op mutates.  Results are discarded; allocates nothing
+    beyond what the core's reads and writes do. *)
 
 val journal_mark : t -> int -> unit
 (** In-transaction: bump the journal by [n] requests.  No-op when the
-    journal is disabled. *)
+    journal is disabled.
+    @raise Invalid_argument outside a transaction when it is enabled. *)
 
 (** {2 Whole-transaction conveniences} *)
 

@@ -26,7 +26,7 @@ let rules =
     {
       id = Rule_purity.rule;
       severity = Tm_analysis.Finding.Error;
-      doc = "a non-rollbackable effect inside an atomically body";
+      doc = "a non-rollbackable effect inside a transaction body";
     };
     {
       id = Rule_leak.rule;
@@ -171,8 +171,8 @@ let run ?(rules = rule_ids) ~root () =
                                ~severity:Tm_analysis.Finding.Error
                                ~subject:facade_src.Source.path
                                (Fmt.str
-                                  "core_of dispatches %s to %s, but %s does \
-                                   not exist"
+                                  "Algo.name maps %s to %s, but %s does not \
+                                   exist"
                                   algo m rel);
                            ];
                        None
@@ -198,13 +198,16 @@ let run ?(rules = rule_ids) ~root () =
     let user_files =
       ml_files root "test" @ ml_files root "bench" @ ml_files root "examples"
     in
+    (* The library code that runs transactions: the serving path and
+       the chaos workers. *)
+    let body_files = ml_files root "lib/serve" @ ml_files root "lib/chaos" in
     if wants Rule_purity.rule then
       List.iter
         (fun rel ->
           match load rel with
           | Some src -> add (Rule_purity.check src)
           | None -> ())
-        (txn_files @ user_files);
+        (txn_files @ body_files @ user_files);
     (* Armed leaks: test/bench/example lifecycles. *)
     if wants Rule_leak.rule then
       List.iter

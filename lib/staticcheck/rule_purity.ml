@@ -4,8 +4,11 @@
    [Retry]) and abandon any non-final run's effects.  Every effect in
    the body other than t-variable access therefore either multiplies
    (I/O, spawning) or leaks rolled-back state (mutation of anything
-   that outlives the attempt).  The rule walks every [atomically]
-   body and flags:
+   that outlives the attempt).  The rule walks every transaction body
+   — the function passed to [atomically] or [atomically_tx], and every
+   function with a parameter annotated with the descriptor type
+   ([(tx : Stm.tx)], as [Store.exec_buf] declares it: a descriptor is
+   only ever handed to a running body) — and flags:
 
    - errors: effects that cannot be undone at all — console/channel
      I/O, [Printf]/[Format]/[Fmt] printing, [Random] draws,
@@ -112,6 +115,18 @@ let is_fresh_alloc (e : expression) =
   | Pexp_record _ | Pexp_array _ -> true
   | _ -> false
 
+let entry_points = [ "atomically"; "atomically_tx" ]
+
+(* A parameter annotated with the descriptor type [Stm.tx], however
+   qualified. *)
+let rec takes_descriptor (p : pattern) =
+  match p.ppat_desc with
+  | Ppat_constraint
+      (_, { ptyp_desc = Ptyp_constr ({ Location.txt = lid; _ }, []); _ }) ->
+      Source.lid_last lid = "tx"
+  | Ppat_constraint (p, _) | Ppat_alias (p, _) -> takes_descriptor p
+  | _ -> false
+
 type offence = { o_severity : Tm_analysis.Finding.severity; o_what : string }
 
 (* Classify an application head: [Some offence] if calling it inside a
@@ -187,7 +202,7 @@ let check (src : Source.t) =
       findings :=
         Tm_analysis.Finding.v ~rule ~severity ~subject:src.Source.path
           ~location:(Tm_analysis.Finding.At_line line)
-          (Fmt.str "%s inside an atomically body is not rolled back on abort"
+          (Fmt.str "%s inside a transaction body is not rolled back on abort"
              what)
         :: !findings
   in
@@ -252,9 +267,11 @@ let check (src : Source.t) =
     Option.iter (walk_body locals) c.pc_guard;
     walk_body locals c.pc_rhs
   in
-  (* Find [.. atomically (fun () -> body) ..] applications anywhere in
-     the file (qualified or not: [Stm.atomically], [Tm_stm.Stm.atomically]
-     and a locally-opened [atomically] all count). *)
+  (* Find [.. atomically (fun () -> body) ..] and [.. atomically_tx
+     (fun tx -> body) ..] applications anywhere in the file (qualified
+     or not: [Stm.atomically], [Tm_stm.Stm.atomically] and a
+     locally-opened [atomically] all count), and functions taking the
+     descriptor. *)
   let iter =
     {
       Ast_iterator.default_iterator with
@@ -263,7 +280,7 @@ let check (src : Source.t) =
           (match e.pexp_desc with
           | Pexp_apply (fn, args) when
               (match ident_of fn with
-              | Some lid -> Source.lid_last lid = "atomically"
+              | Some lid -> List.mem (Source.lid_last lid) entry_points
               | None -> false) ->
               List.iter
                 (fun (_, (a : expression)) ->
@@ -271,6 +288,8 @@ let check (src : Source.t) =
                   | Pexp_fun (_, _, _, body) -> walk_body Locals.empty body
                   | _ -> ())
                 args
+          | Pexp_fun (_, _, p, body) when takes_descriptor p ->
+              walk_body Locals.empty body
           | _ -> ());
           Ast_iterator.default_iterator.expr self e);
     }

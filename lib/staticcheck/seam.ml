@@ -4,7 +4,8 @@
    announcement table, the checker parses them out of the same sources
    the compiler builds: the constructors of [Obs.site] in
    [stm_core.ml], and the literal lists returned by [Algo.sites] plus
-   the [core_of] dispatch in [stm.ml].  A site added to the vocabulary
+   the [Algo.name] table in [stm.ml], which names each algorithm by its
+   core module's [algo_name].  A site added to the vocabulary
    or a core added to the zoo is picked up with no checker change — and
    a checker that fails to find the tables reports that as an error
    instead of silently passing. *)
@@ -66,11 +67,11 @@ let vocab_of_core (src : Source.t) =
   | Some cs -> Ok cs
   | None -> Error (Fmt.str "%s: cannot find type Obs.site" src.path)
 
-(* --- the Algo announcement table and core_of dispatch in stm.ml --- *)
+(* --- the Algo announcement and name tables in stm.ml --- *)
 
 (* Both tables are written as [let name = function ...], every case
    mapping (possibly or-patterns of) Algo constructors to a literal
-   list of sites / a packed core module. *)
+   list of sites / a core module's [algo_name]. *)
 
 let rec pattern_algos (p : pattern) =
   match p.ppat_desc with
@@ -93,11 +94,9 @@ let rec list_literal_ctors (e : expression) =
 
 let rec core_module_of_expr (e : expression) =
   match e.pexp_desc with
-  | Pexp_pack { pmod_desc = Pmod_ident lid; _ } ->
-      Some (Source.lid_last lid.Location.txt)
-  | Pexp_pack { pmod_desc = Pmod_constraint ({ pmod_desc = Pmod_ident lid; _ }, _); _ }
-    ->
-      Some (Source.lid_last lid.Location.txt)
+  | Pexp_ident { Location.txt = lid; _ }
+    when Source.lid_last lid = "algo_name" ->
+      Source.lid_parent lid
   | Pexp_constraint (e, _) -> core_module_of_expr e
   | _ -> None
 
@@ -133,7 +132,7 @@ let contract_of_facade (src : Source.t) =
             match core_module_of_expr rhs with
             | Some m -> List.map (fun a -> (a, m)) algos
             | None -> []))
-      (bindings_named "core_of" src.structure)
+      (bindings_named "name" algo_items)
   in
   let announced =
     List.concat_map
@@ -150,7 +149,7 @@ let contract_of_facade (src : Source.t) =
   in
   if algos = [] then Error (Fmt.str "%s: cannot find module Algo's type t" src.path)
   else if core_files = [] then
-    Error (Fmt.str "%s: cannot find the core_of dispatch table" src.path)
+    Error (Fmt.str "%s: cannot find the Algo.name core table" src.path)
   else if announced = [] then
     Error (Fmt.str "%s: cannot find the Algo.sites announcement table" src.path)
   else Ok { c_algos = algos; c_core_files = core_files; c_announced = announced }

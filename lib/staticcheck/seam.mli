@@ -22,8 +22,9 @@ val vocab_of_core : Source.t -> (string list, string) result
 (** Parse the [Obs.site] constructors out of [stm_core.ml]. *)
 
 val contract_of_facade : Source.t -> (contract, string) result
-(** Parse [Algo.t], the [Algo.sites] table and [core_of] out of
-    [stm.ml].  Or-patterns announce for every named algorithm. *)
+(** Parse [Algo.t], the [Algo.sites] table and the [Algo.name] table
+    (each case names a core module's [algo_name]) out of [stm.ml].
+    Or-patterns announce for every named algorithm. *)
 
 type site = { s_site : string; s_line : int }
 

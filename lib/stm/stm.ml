@@ -3,7 +3,7 @@
    Algorithm-independent machinery lives in [Stm_core] (t-variables,
    the observation seam [Obs]); the four cores live in [Stm_tl2],
    [Stm_glock], [Stm_dstm] and [Stm_norec].  This module owns what the
-   cores share behaviourally: the per-domain current-transaction slot,
+   cores share behaviourally: the per-domain transaction descriptor,
    the retry loop with randomized exponential backoff, the
    attempt-lifecycle sites ([Begin], [Commit], [Abort], [Retry],
    [Exception], [Backoff]) and the per-domain commit/abort counters —
@@ -229,11 +229,13 @@ module Algo = struct
 
   let all = [ Tl2; Global_lock; Dstm; Norec ]
 
+  (* Each algorithm's core module, by its name: tmstatic reads this
+     table to find the core file behind each constructor. *)
   let name = function
-    | Tl2 -> "tl2"
-    | Global_lock -> "global-lock"
-    | Dstm -> "dstm"
-    | Norec -> "norec"
+    | Tl2 -> Stm_tl2.algo_name
+    | Global_lock -> Stm_glock.algo_name
+    | Dstm -> Stm_dstm.algo_name
+    | Norec -> Stm_norec.algo_name
 
   let of_string s =
     match String.lowercase_ascii s with
@@ -312,61 +314,153 @@ module Algo = struct
         ]
 end
 
-let core_of : Algo.t -> (module Stm_core.S) = function
-  | Algo.Tl2 -> (module Stm_tl2)
-  | Algo.Global_lock -> (module Stm_glock)
-  | Algo.Dstm -> (module Stm_dstm)
-  | Algo.Norec -> (module Stm_norec)
+(* Every core against the contract, at compile time only: the
+   descriptor below calls the cores directly. *)
+module _ : Stm_core.S = Stm_tl2
+module _ : Stm_core.S = Stm_glock
+module _ : Stm_core.S = Stm_dstm
+module _ : Stm_core.S = Stm_norec
 
-let selected_algo = Atomic.make Algo.Tl2
-let selected : (module Stm_core.S) Atomic.t = Atomic.make (core_of Algo.Tl2)
-
-let set_algo a =
-  Atomic.set selected_algo a;
-  Atomic.set selected (core_of a)
-
-let algo () = Atomic.get selected_algo
+let selected = Atomic.make Algo.Tl2
+let set_algo a = Atomic.set selected a
+let algo () = Atomic.get selected
 
 let with_algo a f =
   let prev = algo () in
   set_algo a;
   Fun.protect ~finally:(fun () -> set_algo prev) f
 
-(* Per-domain facade state: the current-transaction slot and the
-   domain's commit/abort counters.  Only the owning domain writes a
+(* The calling domain's id, as [Domain.self] gives it.  The runtime
+   primitive only reads the domain state, so it is bound [noalloc]:
+   the call skips the runtime's C-call wrapper, which the stdlib's
+   binding goes through. *)
+external self_id : unit -> int = "caml_ml_domain_id" [@@noalloc]
+
+(* Per-domain commit/abort counters.  Only the owning domain writes a
    record, so counting costs no shared cache line; [stats] sums the
-   records of every domain that ever ran a transaction. *)
-type dom = {
-  mutable cur : Stm_core.packed;
-  mutable commits : int;
-  mutable aborts : int;
+   records of every domain that ever ran a transaction.  They live
+   apart from the descriptor so that the registry does not keep a
+   finished domain's logs alive. *)
+type counts = { mutable commits : int; mutable aborts : int }
+
+let doms : counts list Atomic.t = Atomic.make []
+
+let rec register c =
+  let l = Atomic.get doms in
+  if not (Atomic.compare_and_set doms l (c :: l)) then register c
+
+(* The per-domain transaction descriptor, built once per domain: one
+   reused transaction record of every core, the core of the running
+   attempt, and [live] — the owner's domain id while an attempt runs,
+   [idle] otherwise.  An attempt allocates nothing here, and
+   [Tx.read]/[Tx.write] reach the core through one match on [core]:
+   no DLS lookup, no packed core, no indirect call.  Comparing [live]
+   with the caller's domain id rejects, in one test, both a descriptor
+   whose attempt has ended and one used from another domain. *)
+type tx = {
+  owner : int;
+  mutable live : int;
+  mutable core : Algo.t;
+  tl2 : Stm_tl2.txn;
+  glock : Stm_glock.txn;
+  dstm : Stm_dstm.txn;
+  norec : Stm_norec.txn;
+  counts : counts;
 }
 
-let doms : dom list Atomic.t = Atomic.make []
+let idle = -1
 
-let rec register d =
-  let l = Atomic.get doms in
-  if not (Atomic.compare_and_set doms l (d :: l)) then register d
-
-let dom_key : dom Domain.DLS.key =
+let tx_key : tx Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let d = { cur = Stm_core.Idle; commits = 0; aborts = 0 } in
-      register d;
-      d)
+      let counts = { commits = 0; aborts = 0 } in
+      register counts;
+      {
+        owner = self_id ();
+        live = idle;
+        core = Algo.Tl2;
+        tl2 = Stm_tl2.create ();
+        glock = Stm_glock.create ();
+        dstm = Stm_dstm.create ();
+        norec = Stm_norec.create ();
+        counts;
+      })
 
-let in_transaction () = (Domain.DLS.get dom_key).cur != Stm_core.Idle
+let in_transaction () = (Domain.DLS.get tx_key).live <> idle
 
-let read (type a) (tv : a tvar) : a =
-  match (Domain.DLS.get dom_key).cur with
-  | Stm_core.P ((module C), t) -> C.read t tv
-  | Stm_core.Idle ->
-      let (module C) = Atomic.get selected in
-      C.direct_read tv
+(* The dispatch: one match on the attempt's core per call. *)
 
-let write (type a) (tv : a tvar) (x : a) : unit =
-  match (Domain.DLS.get dom_key).cur with
-  | Stm_core.P ((module C), t) -> C.write t tv x
-  | Stm_core.Idle -> invalid_arg "Stm.write outside a transaction"
+let begin_ tx =
+  let a = Atomic.get selected in
+  tx.core <- a;
+  (match a with
+  | Algo.Tl2 -> Stm_tl2.begin_ tx.tl2
+  | Algo.Global_lock -> Stm_glock.begin_ tx.glock
+  | Algo.Dstm -> Stm_dstm.begin_ tx.dstm
+  | Algo.Norec -> Stm_norec.begin_ tx.norec);
+  tx.live <- tx.owner
+
+let core_read (type a) tx (tv : a tvar) : a =
+  match tx.core with
+  | Algo.Tl2 -> Stm_tl2.read tx.tl2 tv
+  | Algo.Global_lock -> Stm_glock.read tx.glock tv
+  | Algo.Dstm -> Stm_dstm.read tx.dstm tv
+  | Algo.Norec -> Stm_norec.read tx.norec tv
+
+let core_write (type a) tx (tv : a tvar) (x : a) : unit =
+  match tx.core with
+  | Algo.Tl2 -> Stm_tl2.write tx.tl2 tv x
+  | Algo.Global_lock -> Stm_glock.write tx.glock tv x
+  | Algo.Dstm -> Stm_dstm.write tx.dstm tv x
+  | Algo.Norec -> Stm_norec.write tx.norec tv x
+
+let commit tx =
+  match tx.core with
+  | Algo.Tl2 -> Stm_tl2.commit tx.tl2
+  | Algo.Global_lock -> Stm_glock.commit tx.glock
+  | Algo.Dstm -> Stm_dstm.commit tx.dstm
+  | Algo.Norec -> Stm_norec.commit tx.norec
+
+let abort_cleanup tx =
+  match tx.core with
+  | Algo.Tl2 -> Stm_tl2.abort_cleanup tx.tl2
+  | Algo.Global_lock -> Stm_glock.abort_cleanup tx.glock
+  | Algo.Dstm -> Stm_dstm.abort_cleanup tx.dstm
+  | Algo.Norec -> Stm_norec.abort_cleanup tx.norec
+
+let direct_read (type a) (tv : a tvar) : a =
+  match Atomic.get selected with
+  | Algo.Tl2 -> Stm_tl2.direct_read tv
+  | Algo.Global_lock -> Stm_glock.direct_read tv
+  | Algo.Dstm -> Stm_dstm.direct_read tv
+  | Algo.Norec -> Stm_norec.direct_read tv
+
+module Tx = struct
+  let current () = Domain.DLS.get tx_key
+
+  let reject tx op =
+    if tx.live = idle then invalid_arg (op ^ " outside a transaction")
+    else invalid_arg (op ^ ": the descriptor belongs to another domain")
+
+  let read tx tv =
+    if tx.live <> self_id () then reject tx "Stm.Tx.read";
+    core_read tx tv
+
+  let write tx tv x =
+    if tx.live <> self_id () then reject tx "Stm.Tx.write";
+    core_write tx tv x
+end
+
+(* The compatibility path: the calling domain's descriptor, found
+   through DLS on every call. *)
+
+let read tv =
+  let tx = Domain.DLS.get tx_key in
+  if tx.live = idle then direct_read tv else core_read tx tv
+
+let write tv x =
+  let tx = Domain.DLS.get tx_key in
+  if tx.live = idle then invalid_arg "Stm.write outside a transaction"
+  else core_write tx tv x
 
 let retry () = raise Retry
 
@@ -385,65 +479,74 @@ let backoff attempts seed =
   done;
   spins
 
-(* The retry loop: attempt [n] of [f] under core [C].  A top-level
-   function so an attempt allocates nothing of its own; [seed] is the
-   backoff state.  The armed word is loaded once per attempt: its
-   lifecycle sites all use that load, and the outcome sites carry the
-   attempt's duration. *)
-let rec attempt :
-    type a. (module Stm_core.S) -> dom -> (unit -> a) -> int -> int -> a =
- fun (module C) d f n seed ->
+(* The retry loop: attempt [n] of [f arg] on the domain's descriptor
+   ([arg] is the descriptor itself for [atomically_tx], [()] for
+   [atomically]).  A top-level function so an attempt allocates
+   nothing of its own; [seed] is the backoff state.  The armed word is
+   loaded once per attempt: its lifecycle sites all use that load, and
+   the outcome sites carry the attempt's duration. *)
+let rec attempt : type a b. tx -> (b -> a) -> b -> int -> int -> a =
+ fun tx f arg n seed ->
   let m = Atomic.get Obs.armed in
   let t0 = if m land Obs.begins <> 0 then Obs.start m Obs.Begin n else 0 in
-  let txn = C.begin_ () in
-  d.cur <- Stm_core.P ((module C), txn);
-  match f () with
+  begin_ tx;
+  match f arg with
   | result -> (
-      match C.commit txn with
+      match commit tx with
       | () ->
-          d.cur <- Stm_core.Idle;
-          d.commits <- d.commits + 1;
+          tx.live <- idle;
+          tx.counts.commits <- tx.counts.commits + 1;
           if m land Obs.observing <> 0 then Obs.finish m Obs.Commit t0;
           result
       | exception Stm_core.Conflict ->
-          d.cur <- Stm_core.Idle;
-          C.abort_cleanup txn;
-          d.aborts <- d.aborts + 1;
+          tx.live <- idle;
+          abort_cleanup tx;
+          tx.counts.aborts <- tx.counts.aborts + 1;
           if m land Obs.observing <> 0 then Obs.finish m Obs.Abort t0;
-          attempt (module C) d f (n + 1) (backoff n seed)
+          attempt tx f arg (n + 1) (backoff n seed)
       | exception (Obs.Crashed as e) ->
           (* A crashed commit keeps everything it holds: no cleanup, and
              the attempt stays open — the domain is gone. *)
-          d.cur <- Stm_core.Idle;
+          tx.live <- idle;
+          raise e
+      | exception e ->
+          (* An observer failing inside commit: the attempt is over. *)
+          tx.live <- idle;
+          abort_cleanup tx;
+          if m land Obs.observing <> 0 then Obs.finish m Obs.Exception t0;
           raise e)
   | exception Stm_core.Conflict ->
-      d.cur <- Stm_core.Idle;
-      C.abort_cleanup txn;
-      d.aborts <- d.aborts + 1;
+      tx.live <- idle;
+      abort_cleanup tx;
+      tx.counts.aborts <- tx.counts.aborts + 1;
       if m land Obs.observing <> 0 then Obs.finish m Obs.Abort t0;
-      attempt (module C) d f (n + 1) (backoff n seed)
+      attempt tx f arg (n + 1) (backoff n seed)
   | exception Retry ->
-      d.cur <- Stm_core.Idle;
-      C.abort_cleanup txn;
-      d.aborts <- d.aborts + 1;
+      tx.live <- idle;
+      abort_cleanup tx;
+      tx.counts.aborts <- tx.counts.aborts + 1;
       if m land Obs.observing <> 0 then Obs.finish m Obs.Retry t0;
-      attempt (module C) d f (n + 1) (backoff (n + 2) seed)
+      attempt tx f arg (n + 1) (backoff (n + 2) seed)
   | exception (Obs.Crashed as e) ->
       (* Crashed in the body: same no-cleanup contract. *)
-      d.cur <- Stm_core.Idle;
+      tx.live <- idle;
       if m land Obs.observing <> 0 then Obs.finish m Obs.Exception t0;
       raise e
   | exception e ->
-      d.cur <- Stm_core.Idle;
-      C.abort_cleanup txn;
+      tx.live <- idle;
+      abort_cleanup tx;
       if m land Obs.observing <> 0 then Obs.finish m Obs.Exception t0;
       raise e
 
+(* Flat nesting either way: a transaction started by [atomically] or
+   [atomically_tx] inside a running one joins it. *)
 let atomically f =
-  let d = Domain.DLS.get dom_key in
-  match d.cur with
-  | Stm_core.P _ -> f () (* flat nesting: join the enclosing transaction *)
-  | Stm_core.Idle -> attempt (Atomic.get selected) d f 0 (Domain.self () :> int)
+  let tx = Domain.DLS.get tx_key in
+  if tx.live <> idle then f () else attempt tx f () 0 tx.owner
+
+let atomically_tx f =
+  let tx = Domain.DLS.get tx_key in
+  if tx.live <> idle then f tx else attempt tx f tx 0 tx.owner
 
 let stats () =
   List.fold_left
@@ -457,5 +560,8 @@ let recover () =
      [reset] is idempotent, so recovering twice (or after a clean
      teardown) is harmless. *)
   Obs.reset ();
-  let (module C) = Atomic.get selected in
-  C.recover ()
+  match algo () with
+  | Algo.Tl2 -> Stm_tl2.recover ()
+  | Algo.Global_lock -> Stm_glock.recover ()
+  | Algo.Dstm -> Stm_dstm.recover ()
+  | Algo.Norec -> Stm_norec.recover ()

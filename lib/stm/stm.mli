@@ -54,6 +54,43 @@ val write : 'a tvar -> 'a -> unit
 (** Inside a transaction: a deferred transactional write.
     @raise Invalid_argument outside a transaction. *)
 
+(** {2 The explicit descriptor}
+
+    Every domain owns one transaction descriptor, built on its first
+    transaction: one reused transaction record of every core plus the
+    core of the running attempt.  {!atomically_tx} hands it to the
+    body, and {!Tx.read}/{!Tx.write} reach the core through it
+    directly.  {!read}/{!write} find the same descriptor through
+    domain-local storage on every call, so both paths share one
+    transaction: flat nesting holds across them, either way round. *)
+
+type tx
+(** A domain's transaction descriptor. *)
+
+val atomically_tx : (tx -> 'a) -> 'a
+(** [atomically] with the descriptor passed to the body.  A tl2 or
+    global-lock attempt allocates nothing but the values written; NOrec
+    adds a 3-word pair per read, DSTM its status cell and one locator
+    per t-variable written.  Inside a running transaction the body
+    joins it. *)
+
+module Tx : sig
+  val read : tx -> 'a tvar -> 'a
+  (** A transactional read through the descriptor.
+      @raise Invalid_argument if the descriptor has no running attempt
+      (it escaped the body it was given to, or is used outside a
+      transaction) or belongs to another domain. *)
+
+  val write : tx -> 'a tvar -> 'a -> unit
+  (** A deferred transactional write through the descriptor.
+      @raise Invalid_argument as {!read}. *)
+
+  val current : unit -> tx
+  (** The calling domain's descriptor, in a transaction or not: for
+      code that runs inside an [atomically] body without being handed
+      the descriptor. *)
+end
+
 exception Retry
 (** User-requested retry: {!retry} aborts the current attempt and re-runs
     the transaction from the start (after backoff).  The classic

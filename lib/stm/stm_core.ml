@@ -4,9 +4,10 @@
    representation and its type-erased [handle], the universal-type
    trick for heterogeneous read/write sets, the write log [Wlog] shared
    by the write-back cores, the zero-cost observation seam [Obs] and
-   the core interface [S] that each algorithm implements.  The [Stm] facade dispatches the public API to the
-   currently selected core; the cores themselves live in [Stm_tl2],
-   [Stm_glock], [Stm_dstm] and [Stm_norec].
+   the core interface [S] that each algorithm implements.  The [Stm]
+   facade's per-domain descriptor runs the public API on the selected
+   core; the cores themselves live in [Stm_tl2], [Stm_glock],
+   [Stm_dstm] and [Stm_norec].
 
    Type erasure for the heterogeneous read/write sets uses the
    universal type trick: every t-variable carries its own
@@ -544,28 +545,15 @@ let rec snapshot_read tv =
    classifies as starving rather than deadlocked. *)
 let spin_budget = 1 lsl 14
 
-(* Per-algorithm core.  A core supplies the transaction engine; the
-   [Stm] facade owns the retry loop (backoff, the attempt-lifecycle
-   sites and their timing, per-domain commit/abort counters) and the
-   per-domain current-transaction slot.
-
-   Contract:
-   - [begin_] never blocks and never raises: any waiting happens in
-     [read]/[write]/[commit] where the re-run transaction body keeps
-     external stop-flags observable.
-   - [read]/[write]/[commit] raise [Conflict] to abort the attempt and
-     may raise [Obs.Crashed]; before re-running (or on any other
-     exception) the facade calls [abort_cleanup], which must be
-     idempotent and release everything the attempt still holds.
-     [abort_cleanup] is never called after [Obs.Crashed]: a crashed
-     transaction keeps whatever it holds, by design.
-   - [commit] returning normally means the transaction took effect;
-     the core has released everything. *)
+(* Per-algorithm core: the contract each core is checked against (see
+   the interface).  The [Stm] facade calls the cores directly through
+   its per-domain descriptor, never through this signature. *)
 module type S = sig
   type txn
 
   val algo_name : string
-  val begin_ : unit -> txn
+  val create : unit -> txn
+  val begin_ : txn -> unit
   val read : txn -> 'a tvar -> 'a
   val write : txn -> 'a tvar -> 'a -> unit
   val commit : txn -> unit
@@ -573,5 +561,3 @@ module type S = sig
   val recover : unit -> unit
   val direct_read : 'a tvar -> 'a
 end
-
-type packed = Idle | P : (module S with type txn = 't) * 't -> packed

@@ -2,7 +2,8 @@
 
     This module is the algorithm-independent half of [lib/stm]: the
     t-variable representation, the write log {!Wlog}, the observation
-    seam {!Obs} and the core interface {!S} each algorithm implements.  User code should go through the {!Stm} facade; the
+    seam {!Obs} and the core interface {!S} each algorithm implements.
+    User code should go through the {!Stm} facade; the
     types here are exposed so the cores ([Stm_tl2], [Stm_glock],
     [Stm_dstm], [Stm_norec]) can share one t-variable type and so the
     facade can re-export the seam unchanged. *)
@@ -202,15 +203,19 @@ val read_vlock : 'a tvar -> int
 
 (** {1 The write log}
 
-    Shared by the write-back cores (tl2, global-lock, norec).  Each
-    core keeps one log per domain and reuses it for every transaction
-    of that domain, so buffering a write allocates only the injected
-    value.  Entries are sorted by t-variable id — the canonical lock
-    order — and a one-word id filter answers most read-own-write misses
-    without a search. *)
+    Shared by the write-back cores (tl2, global-lock, norec), and the
+    DSTM core's own-write journal.  Each core keeps one log per domain
+    and reuses it for every transaction of that domain, so buffering a
+    write allocates only the injected value.  Entries are sorted by
+    t-variable id — the canonical lock order — and a one-word id filter
+    answers most read-own-write misses without a search. *)
 
 val no_handle : handle
 (** Filler for empty log slots; never locked or published. *)
+
+val hole : univ
+(** Filler for emptied value slots: a finished transaction's logs keep
+    no value alive. *)
 
 module Wlog : sig
   type t
@@ -255,10 +260,17 @@ val spin_budget : int
 
     A core supplies the transaction engine; the [Stm] facade owns the
     retry loop (backoff, the attempt-lifecycle sites and their timing,
-    per-domain commit/abort counters) and the per-domain
-    current-transaction slot.
+    per-domain commit/abort counters) and the per-domain transaction
+    descriptor, which holds one [txn] record of every core.  The
+    facade calls the cores directly (a match on the attempt's
+    algorithm), never through this signature: [S] is the contract each
+    core is checked against at compile time.
 
     Contract:
+    - [create] builds the one [txn] record a domain reuses for every
+      transaction it runs under the core; [begin_] resets it for a new
+      attempt.  It may still hold the state of a crashed predecessor,
+      which [begin_] must discard.
     - [begin_] never blocks and never raises: any waiting happens in
       [read]/[write]/[commit] where the re-run transaction body keeps
       external stop-flags observable.
@@ -280,7 +292,8 @@ module type S = sig
   type txn
 
   val algo_name : string
-  val begin_ : unit -> txn
+  val create : unit -> txn
+  val begin_ : txn -> unit
   val read : txn -> 'a tvar -> 'a
   val write : txn -> 'a tvar -> 'a -> unit
   val commit : txn -> unit
@@ -288,7 +301,3 @@ module type S = sig
   val recover : unit -> unit
   val direct_read : 'a tvar -> 'a
 end
-
-type packed = Idle | P : (module S with type txn = 't) * 't -> packed
-(** The facade's per-domain current-transaction slot: [Idle], or a core
-    paired with its in-flight transaction. *)

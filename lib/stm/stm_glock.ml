@@ -52,20 +52,17 @@ let yield_spins = 512
    only while an observer stamps ownership). *)
 let blame_holder = Atomic.make (-1)
 
-(* One transaction record per domain, reused by every transaction the
-   domain runs. *)
+(* One transaction record per domain (held by the facade's descriptor),
+   reused by every transaction the domain runs. *)
 type txn = { mutable held : bool; writes : Wlog.t }
 
-let key : txn Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { held = false; writes = Wlog.create () })
+let create () = { held = false; writes = Wlog.create () }
 
 (* A crashed predecessor on this domain may have left the record
    holding (the serializer itself stays stranded until [recover]). *)
-let begin_ () =
-  let t = Domain.DLS.get key in
+let begin_ t =
   t.held <- false;
-  Wlog.clear t.writes;
-  t
+  Wlog.clear t.writes
 
 let release t =
   if t.held then begin

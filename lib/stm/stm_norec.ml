@@ -50,9 +50,9 @@ type seen = Seen : 'a Atomic.t * 'a -> seen
 
 let no_seen = Seen (Atomic.make (), ())
 
-(* One transaction record per domain, reused by every transaction the
-   domain runs: the read set is flat arrays in read order, the write
-   log the shared [Wlog]. *)
+(* One transaction record per domain (held by the facade's descriptor),
+   reused by every transaction the domain runs: the read set is flat
+   arrays in read order, the write log the shared [Wlog]. *)
 type txn = {
   mutable snap : int;
   mutable r_ids : int array;
@@ -61,15 +61,14 @@ type txn = {
   writes : Wlog.t;
 }
 
-let key : txn Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        snap = 0;
-        r_ids = Array.make Wlog.initial_capacity (-1);
-        r_seen = Array.make Wlog.initial_capacity no_seen;
-        r_n = 0;
-        writes = Wlog.create ();
-      })
+let create () =
+  {
+    snap = 0;
+    r_ids = Array.make Wlog.initial_capacity (-1);
+    r_seen = Array.make Wlog.initial_capacity no_seen;
+    r_n = 0;
+    writes = Wlog.create ();
+  }
 
 (* Empty both logs and drop their references, so a finished
    transaction keeps no value alive. *)
@@ -80,8 +79,7 @@ let finish t =
   t.r_n <- 0;
   Wlog.clear t.writes
 
-let begin_ () =
-  let t = Domain.DLS.get key in
+let begin_ t =
   finish t;
   let g = Atomic.get seqlock in
   (* Never block in begin: under an odd (held or stranded) lock start
@@ -90,8 +88,7 @@ let begin_ () =
      stop flags observable.  Starting from the next even value instead
      would let a read of the old content pass as part of the writer's
      snapshot once the writer releases: a lost update. *)
-  t.snap <- (if g land 1 = 0 then g else g - 1);
-  t
+  t.snap <- (if g land 1 = 0 then g else g - 1)
 
 let log_read t id r =
   if t.r_n = Array.length t.r_ids then begin

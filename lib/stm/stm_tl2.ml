@@ -17,11 +17,12 @@ open Stm_core
 let algo_name = "tl2"
 let clock = Atomic.make 0
 
-(* One transaction record per domain, reused by every transaction the
-   domain runs: the read log is two flat arrays of (handle, version
-   seen), appended in read order; the write log is the shared [Wlog],
-   already in canonical lock order.  Reading and writing therefore
-   allocate nothing but the injected write values. *)
+(* One transaction record per domain (held by the facade's descriptor),
+   reused by every transaction the domain runs: the read log is two
+   flat arrays of (handle, version seen), appended in read order; the
+   write log is the shared [Wlog], already in canonical lock order.
+   Reading and writing therefore allocate nothing but the injected
+   write values. *)
 type txn = {
   mutable rv : int;
   mutable r_hs : handle array;
@@ -30,15 +31,14 @@ type txn = {
   writes : Wlog.t;
 }
 
-let key : txn Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        rv = 0;
-        r_hs = Array.make Wlog.initial_capacity no_handle;
-        r_vers = Array.make Wlog.initial_capacity 0;
-        r_n = 0;
-        writes = Wlog.create ();
-      })
+let create () =
+  {
+    rv = 0;
+    r_hs = Array.make Wlog.initial_capacity no_handle;
+    r_vers = Array.make Wlog.initial_capacity 0;
+    r_n = 0;
+    writes = Wlog.create ();
+  }
 
 (* Empty both logs; the write log drops its buffered values.  The read
    log holds only handles and versions, left in place until reused (see
@@ -49,11 +49,9 @@ let finish t =
 
 (* [finish] again because a crashed predecessor on this domain never
    reached cleanup. *)
-let begin_ () =
-  let t = Domain.DLS.get key in
+let begin_ t =
   finish t;
-  t.rv <- Atomic.get clock;
-  t
+  t.rv <- Atomic.get clock
 
 let log_read t h version =
   if t.r_n = Array.length t.r_hs then begin

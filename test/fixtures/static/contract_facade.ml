@@ -4,11 +4,11 @@
 module Algo = struct
   type t = Mini
 
+  let name = function Mini -> Stm_mini.algo_name
+
   let sites = function
     | Mini -> [ Obs.Begin; Obs.Read; Obs.Validation; Obs.Published; Obs.Commit; Obs.Abort ]
 end
-
-let core_of = function Algo.Mini -> (module Stm_mini)
 
 let atomically f =
   let m = Atomic.get Obs.armed in

@@ -21,3 +21,12 @@ let warn_hashtbl t =
   Stm.atomically (fun () ->
       Hashtbl.replace tbl 1 2;
       Stm.read t)
+
+(* The descriptor entry point, and a function that takes the
+   descriptor: both are transaction bodies. *)
+let bad_print_tx t =
+  Stm.atomically_tx (fun tx -> print_endline "boom"; Stm.Tx.read tx t)
+
+let warn_incr_body t (tx : Stm.tx) =
+  incr hits;
+  Stm.Tx.read tx t

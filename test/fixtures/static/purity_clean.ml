@@ -17,3 +17,13 @@ let deliberate t =
       (* tmstatic: allow txn-purity *)
       print_string "debug probe";
       Stm.read t)
+
+(* The descriptor entry point, and a function that takes the
+   descriptor, touching only transactional state and locals. *)
+let add_tx t k =
+  Stm.atomically_tx (fun tx -> Stm.Tx.write tx t (Stm.Tx.read tx t + k))
+
+let count_body t (tx : Stm.tx) =
+  let seen = ref 0 in
+  incr seen;
+  Stm.Tx.write tx t !seen

@@ -267,6 +267,29 @@ let test_store_differential_sequential () =
             !muts (Store.journal_value st)))
     Stm.Algo.all
 
+(* The serving body over a Get-shaped buffer — four reads through the
+   descriptor, as every executor runs one — allocates nothing under
+   tl2, journal on. *)
+let test_exec_buf_zero_alloc () =
+  Stm.with_algo Stm.Algo.Tl2 (fun () ->
+      let st = Store.create ~stripes:8 ~journal:true ~keys:64 () in
+      let buf = Store.buf_create ~capacity:Workload.max_ops in
+      for i = 0 to 3 do
+        Store.buf_set buf i Store.B_get (i * 13) 0 0
+      done;
+      buf.Store.b_len <- 4;
+      let body tx = Store.exec_buf st tx buf in
+      for _ = 1 to 1_000 do
+        Stm.atomically_tx body
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        Stm.atomically_tx body
+      done;
+      let w1 = Gc.minor_words () in
+      Alcotest.(check (float 0.))
+        "10^4 Get-shaped exec_buf transactions, 0 words" 0. (w1 -. w0))
+
 (* Concurrent conservation: domains hammer disjoint-sum transfers plus
    journal-marked puts; the counter plane must still sum to zero and
    the journal must count every mutator, under every core. *)
@@ -712,6 +735,8 @@ let () =
             test_store_differential_sequential;
           Alcotest.test_case "differential vs spec (concurrent)" `Quick
             test_store_differential_concurrent;
+          Alcotest.test_case "Get-shaped exec_buf allocates nothing" `Quick
+            test_exec_buf_zero_alloc;
         ] );
       ( "server",
         [

@@ -127,9 +127,12 @@ let test_purity_clean () =
 
 let test_purity_bad () =
   let findings = Tm_staticcheck.Rule_purity.check (fixture "purity_bad.ml") in
-  (* Errors: print_endline, Random.int, Domain.spawn, Mutex.lock.
-     Warnings: incr / Hashtbl.replace on state created outside. *)
-  check_counts "purity_bad" ~errors:4 ~warnings:2 findings
+  (* Errors: print_endline (twice: in an [atomically] and in an
+     [atomically_tx] body), Random.int, Domain.spawn, Mutex.lock.
+     Warnings: incr (twice: in an [atomically] body and in a function
+     taking the descriptor) / Hashtbl.replace on state created
+     outside. *)
+  check_counts "purity_bad" ~errors:5 ~warnings:3 findings
 
 (* --- armed-leak --- *)
 
@@ -245,18 +248,19 @@ let replace_once s pat by =
   let j = find 0 in
   String.sub s 0 j ^ by ^ String.sub s (j + String.length pat) (String.length s - j - String.length pat)
 
-(* A scratch tree holding copies of lib/stm and test/test_stm.ml. *)
+(* A scratch tree holding copies of lib/stm, lib/serve/store.ml and
+   test/test_stm.ml. *)
 let with_copy f =
   let root = repo_root () in
   let dir = Filename.temp_dir "tmstatic" "" in
   let mk rel = Sys.mkdir (Filename.concat dir rel) 0o755 in
-  List.iter mk [ "lib"; "lib/stm"; "test" ];
+  List.iter mk [ "lib"; "lib/stm"; "lib/serve"; "test" ];
   let copied =
     List.map (fun f -> Filename.concat "lib/stm" f)
       (List.filter
          (fun f -> Filename.check_suffix f ".ml")
          (Array.to_list (Sys.readdir (Filename.concat root "lib/stm"))))
-    @ [ "test/test_stm.ml" ]
+    @ [ "lib/serve/store.ml"; "test/test_stm.ml" ]
   in
   List.iter
     (fun rel ->
@@ -267,7 +271,7 @@ let with_copy f =
       List.iter (fun rel -> Sys.remove (Filename.concat dir rel)) copied;
       List.iter
         (fun rel -> Sys.rmdir (Filename.concat dir rel))
-        [ "test"; "lib/stm"; "lib"; "" ])
+        [ "test"; "lib/serve"; "lib/stm"; "lib"; "" ])
     (fun () -> f dir)
 
 let seeded ~rule ~file ~pat ~by ~subject ~message () =
@@ -321,6 +325,14 @@ let seeded_purity =
     ~by:"Stm.atomically (fun () -> print_endline \"x\"; Stm.write t (Stm.read t + k))"
     ~subject:"lib/stm/txn_counter.ml" ~message:""
 
+(* I/O planted in the serving body: [Store.exec_buf] is a transaction
+   body by its descriptor parameter. *)
+let seeded_exec_buf =
+  seeded ~rule:"txn-purity" ~file:"lib/serve/store.ml"
+    ~pat:"| B_get -> ignore (Stm.Tx.read tx tv)"
+    ~by:"| B_get -> print_endline \"x\"; ignore (Stm.Tx.read tx tv)"
+    ~subject:"lib/serve/store.ml" ~message:"print_endline"
+
 (* A test definition that installs a chaos plan and never releases it,
    appended to a copy of test_stm.ml (no pattern to match). *)
 let seeded_leak () =
@@ -370,6 +382,8 @@ let () =
           Alcotest.test_case "unemitted announcement (seam-contract)" `Quick
             seeded_unemitted;
           Alcotest.test_case "transaction I/O (txn-purity)" `Quick seeded_purity;
+          Alcotest.test_case "serving-body I/O (txn-purity)" `Quick
+            seeded_exec_buf;
           Alcotest.test_case "armed leak (armed-leak)" `Quick seeded_leak;
         ] );
       ( "driver",

@@ -968,6 +968,8 @@ let words_per_txn f =
   done;
   (Gc.minor_words () -. w0) /. float_of_int n
 
+(* The three transaction shapes, through [atomically] (the
+   compatibility path) and through [atomically_tx] (the descriptor). *)
 let txn_shapes () =
   let tv = Array.init 4 (fun i -> Stm.tvar i) in
   let empty_body () = () in
@@ -979,31 +981,200 @@ let txn_shapes () =
       Stm.write tv.(i) (Stm.read tv.(i) + 1)
     done
   in
-  ( (fun () -> Stm.atomically empty_body),
-    (fun () -> ignore (Stm.atomically read4)),
-    fun () -> Stm.atomically rw4 )
+  let empty_tx _ = () in
+  let read4_tx tx =
+    Stm.Tx.read tx tv.(0) + Stm.Tx.read tx tv.(1) + Stm.Tx.read tx tv.(2)
+    + Stm.Tx.read tx tv.(3)
+  in
+  let rw4_tx tx =
+    for i = 0 to 3 do
+      Stm.Tx.write tx tv.(i) (Stm.Tx.read tx tv.(i) + 1)
+    done
+  in
+  [
+    ( "atomically",
+      (fun () -> Stm.atomically empty_body),
+      (fun () -> ignore (Stm.atomically read4)),
+      fun () -> Stm.atomically rw4 );
+    ( "atomically_tx",
+      (fun () -> Stm.atomically_tx empty_tx),
+      (fun () -> ignore (Stm.atomically_tx read4_tx)),
+      fun () -> Stm.atomically_tx rw4_tx );
+  ]
 
 let check_words label bound w =
   if w > bound then
     Alcotest.failf "%s: %.1f words per transaction, bound %.0f" label w bound
 
-(* tl2 bounds are absolute; the serialized cores must stay at or below
-   half of their closure-based write sets (271 and 340 words for
-   read+write on 4 t-variables). *)
+(* One-domain words per transaction, through both entry points.  An
+   attempt allocates nothing of the facade's: tl2 pays only the four
+   injected values of read+write (3 words each).  The serialized cores
+   pay the same; DSTM adds its per-attempt status cell (2 words) and a
+   fresh locator per t-variable written (5 words). *)
 let test_words_gate () =
   Stm.with_algo Stm.Algo.Tl2 (fun () ->
-      let empty, read4, rw4 = txn_shapes () in
-      check_words "tl2 empty" 8. (words_per_txn empty);
-      check_words "tl2 read-only, 4 reads" 16. (words_per_txn read4);
-      check_words "tl2 read+write, 4 tvars" 32. (words_per_txn rw4));
+      List.iter
+        (fun (path, empty, read4, rw4) ->
+          check_words ("tl2 empty, " ^ path) 0. (words_per_txn empty);
+          check_words ("tl2 read-only, 4 reads, " ^ path) 0.
+            (words_per_txn read4);
+          check_words ("tl2 read+write, 4 tvars, " ^ path) 12.
+            (words_per_txn rw4))
+        (txn_shapes ()));
   List.iter
     (fun (a, bound) ->
       Stm.with_algo a (fun () ->
-          let _, _, rw4 = txn_shapes () in
-          check_words
-            (Stm.Algo.name a ^ " read+write, 4 tvars")
-            bound (words_per_txn rw4)))
-    [ (Stm.Algo.Global_lock, 271. /. 2.); (Stm.Algo.Norec, 340. /. 2.) ]
+          List.iter
+            (fun (path, _, _, rw4) ->
+              check_words
+                (Fmt.str "%s read+write, 4 tvars, %s" (Stm.Algo.name a) path)
+                bound (words_per_txn rw4))
+            (txn_shapes ())))
+    [ (Stm.Algo.Global_lock, 12.); (Stm.Algo.Norec, 24.); (Stm.Algo.Dstm, 34.) ]
+
+(* ------------------------------------------------------------------ *)
+(* The explicit descriptor: misuse is rejected, nesting is flat across
+   both entry points, and a crash or [recover] leaves it idle. *)
+
+(* A descriptor that escaped its body is rejected like [Stm.write]
+   outside a transaction, and its last attempt committed normally. *)
+let test_tx_escaped () =
+  let v = Stm.tvar 0 in
+  let escaped =
+    Stm.atomically_tx (fun tx ->
+        Stm.Tx.write tx v 1;
+        tx)
+  in
+  Alcotest.check_raises "read through an escaped descriptor"
+    (Invalid_argument "Stm.Tx.read outside a transaction") (fun () ->
+      ignore (Stm.Tx.read escaped v));
+  Alcotest.check_raises "write through an escaped descriptor"
+    (Invalid_argument "Stm.Tx.write outside a transaction") (fun () ->
+      Stm.Tx.write escaped v 2);
+  Alcotest.check_raises "the current descriptor outside a transaction"
+    (Invalid_argument "Stm.Tx.read outside a transaction") (fun () ->
+      ignore (Stm.Tx.read (Stm.Tx.current ()) v));
+  Alcotest.(check int) "the escaping attempt committed" 1 (Stm.read v)
+
+(* Another domain handed the descriptor of a running attempt is
+   rejected on read and on write; the owner's attempt is undisturbed. *)
+let test_tx_foreign_domain () =
+  let v = Stm.tvar 0 in
+  let from_peer tx =
+    let try_ f =
+      match f () with () -> "accepted" | exception Invalid_argument m -> m
+    in
+    (* tmstatic: allow txn-purity *)
+    Domain.join
+      (Domain.spawn (fun () ->
+           ( try_ (fun () -> ignore (Stm.Tx.read tx v)),
+             try_ (fun () -> Stm.Tx.write tx v 99) )))
+  in
+  let r, w =
+    Stm.atomically_tx (fun tx ->
+        Stm.Tx.write tx v 1;
+        from_peer tx)
+  in
+  let foreign op = op ^ ": the descriptor belongs to another domain" in
+  Alcotest.(check string) "foreign read" (foreign "Stm.Tx.read") r;
+  Alcotest.(check string) "foreign write" (foreign "Stm.Tx.write") w;
+  Alcotest.(check int) "owner's write committed alone" 1 (Stm.read v);
+  let r, _ = from_peer (Stm.Tx.current ()) in
+  Alcotest.(check string) "idle descriptor from a peer"
+    "Stm.Tx.read outside a transaction" r
+
+(* [atomically_tx] inside [atomically] and the reverse join the
+   enclosing transaction: one commit, the inner writes visible to the
+   outer body, under every core. *)
+let test_tx_nesting () =
+  List.iter
+    (fun a ->
+      Stm.with_algo a (fun () ->
+          let name = Stm.Algo.name a in
+          let v = Stm.tvar 0 in
+          let c0, _ = Stm.stats () in
+          Stm.atomically (fun () ->
+              Stm.write v 1;
+              Stm.atomically_tx (fun tx ->
+                  Stm.Tx.write tx v (Stm.Tx.read tx v + 1));
+              Alcotest.(check int) (name ^ ": inner write seen") 2
+                (Stm.read v));
+          Stm.atomically_tx (fun tx ->
+              Stm.Tx.write tx v (Stm.Tx.read tx v + 10);
+              Stm.atomically (fun () -> Stm.write v (Stm.read v + 100));
+              Alcotest.(check int) (name ^ ": inner write seen through tx") 112
+                (Stm.Tx.read tx v));
+          let c1, _ = Stm.stats () in
+          Alcotest.(check int) (name ^ ": committed") 112 (Stm.read v);
+          Alcotest.(check int) (name ^ ": one commit per outer transaction") 2
+            (c1 - c0);
+          Alcotest.(check bool) (name ^ ": idle after") false
+            (Stm.in_transaction ())))
+    Stm.Algo.all
+
+(* A crash in the body ([Read]) or in commit ([Pre_commit], holding
+   the core's locks) leaves the domain's descriptor idle, and so does
+   [recover]; the next transaction on a fresh t-variable commits. *)
+let test_tx_crash_idle () =
+  List.iter
+    (fun (a, point) ->
+      Stm.with_algo a (fun () ->
+          let label =
+            Fmt.str "%s, crash at %s" (Stm.Algo.name a)
+              (Stm.Obs.site_label point)
+          in
+          let v = Stm.tvar 0 in
+          Stm.Chaos.install (fun p ->
+              if p = point then Stm.Chaos.Crash else Stm.Chaos.Proceed);
+          let crashed =
+            Fun.protect ~finally:Stm.Chaos.uninstall (fun () ->
+                match
+                  Stm.atomically_tx (fun tx ->
+                      Stm.Tx.write tx v (Stm.Tx.read tx v + 1))
+                with
+                | () -> false
+                | exception Stm.Chaos.Crashed -> true)
+          in
+          Alcotest.(check bool) (label ^ ": crashed") true crashed;
+          Alcotest.(check bool) (label ^ ": idle after the crash") false
+            (Stm.in_transaction ());
+          Alcotest.check_raises (label ^ ": descriptor rejects reads")
+            (Invalid_argument "Stm.Tx.read outside a transaction") (fun () ->
+              ignore (Stm.Tx.read (Stm.Tx.current ()) v));
+          Stm.recover ();
+          Alcotest.(check bool) (label ^ ": idle after recover") false
+            (Stm.in_transaction ());
+          let w = Stm.tvar 0 in
+          Stm.atomically_tx (fun tx -> Stm.Tx.write tx w 7);
+          Alcotest.(check int) (label ^ ": next transaction commits") 7
+            (Stm.read w)))
+    (List.concat_map
+       (fun a -> [ (a, Stm.Obs.Read); (a, Stm.Obs.Pre_commit) ])
+       Stm.Algo.all)
+
+(* An observer that fails inside commit ends the attempt: the exception
+   escapes [atomically_tx] and the descriptor is idle again.  NOrec's
+   [Validate] site fires before the sequence lock is taken, so the
+   failure strands nothing. *)
+let test_tx_commit_failure_idle () =
+  Stm.with_algo Stm.Algo.Norec (fun () ->
+      let v = Stm.tvar 0 in
+      let s =
+        Stm.Obs.subscribe ~sites:[ Stm.Obs.Validate ] (fun _ _ _ -> raise Exit)
+      in
+      let raised =
+        Fun.protect
+          ~finally:(fun () -> Stm.Obs.unsubscribe s)
+          (fun () ->
+            match Stm.atomically_tx (fun tx -> Stm.Tx.write tx v 1) with
+            | () -> false
+            | exception Exit -> true)
+      in
+      Alcotest.(check bool) "the observer's exception escapes" true raised;
+      Alcotest.(check bool) "idle after" false (Stm.in_transaction ());
+      Alcotest.(check int) "nothing committed" 0 (Stm.read v);
+      Stm.atomically_tx (fun tx -> Stm.Tx.write tx v 2);
+      Alcotest.(check int) "next transaction commits" 2 (Stm.read v))
 
 (* Differential test of the write-back cores' logs against a sequential
    array.  A program is a list of transactions over [n] t-variables
@@ -1228,6 +1399,7 @@ let () =
         [
           Alcotest.test_case "words per transaction gate" `Quick
             test_words_gate;
+
           Alcotest.test_case "tl2 post-commit abort proceeds" `Quick
             (post_commit_abort Stm.Algo.Tl2);
           Alcotest.test_case "global-lock post-commit abort proceeds" `Quick
@@ -1245,6 +1417,19 @@ let () =
             (test_logs_release_values Stm.Algo.Global_lock);
           Alcotest.test_case "norec logs release values" `Quick
             (test_logs_release_values Stm.Algo.Norec);
+        ] );
+      ( "descriptor",
+        [
+          Alcotest.test_case "escaped descriptor rejected" `Quick
+            test_tx_escaped;
+          Alcotest.test_case "foreign descriptor rejected" `Quick
+            test_tx_foreign_domain;
+          Alcotest.test_case "nesting is flat both ways" `Quick
+            test_tx_nesting;
+          Alcotest.test_case "crash and recover leave it idle" `Quick
+            test_tx_crash_idle;
+          Alcotest.test_case "observer failure in commit leaves it idle" `Quick
+            test_tx_commit_failure_idle;
         ] );
       ( "multicore stress",
         [
